@@ -7,7 +7,6 @@ RK4 oracle to verify the closed forms against the raw ODE systems.
 """
 
 from galmag.errors import (
-    DomainMismatch,
     GalmagError,
     IncompatibleIC,
     NonFiniteState,
@@ -51,7 +50,7 @@ from galmag.magnetic import (
     solve_magnetic,
     solve_n_magnetic,
 )
-from galmag.oracle import IntegratorConfig, SampledCurve, integrate, max_deviation
+from galmag.oracle import IntegratorConfig, SampledCurve, grid_points, integrate, max_deviation
 
 __version__ = "0.1.0"
 
@@ -61,7 +60,6 @@ __all__ = [
     "WrongCase",
     "IncompatibleIC",
     "NonFiniteState",
-    "DomainMismatch",
     "GVector3",
     "IsotropyClass",
     "ZERO",
@@ -95,6 +93,7 @@ __all__ = [
     "n_magnetic_residual",
     "IntegratorConfig",
     "SampledCurve",
+    "grid_points",
     "integrate",
     "max_deviation",
 ]

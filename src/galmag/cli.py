@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -31,12 +32,14 @@ from galmag.magnetic import (
     solve_magnetic,
     solve_n_magnetic,
 )
-from galmag.oracle import IntegratorConfig, _grid_points, integrate, max_deviation
+from galmag.oracle import IntegratorConfig, grid_points, integrate, max_deviation
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_RK4_STEP = 1e-3
 DEFAULT_SAMPLES = 201
 VERIFY_SAMPLES = 1000
+MAX_SAMPLES = 10**7  # output grids hold a dozen n-length columns at once
+_BLOCK = 1024  # rows per write: bounds the Python objects and text held at once
 
 _MAGNETIC_KEYS = ("y0", "Y0", "z0", "Z0")
 _NMAGNETIC_KEYS = ("y0", "Y0", "T0", "z0", "Z0", "U0")
@@ -63,6 +66,28 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
+
+
+def _blocks(table: np.ndarray):
+    for start in range(0, len(table), _BLOCK):
+        yield table[start:start + _BLOCK].tolist()
+
+
+def _write_csv(out, header: str, table: np.ndarray) -> None:
+    # "%.17g" formats exactly like _fmt and round-trips every double.
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    out.write(header + "\n")
+    for rows in _blocks(table):
+        out.write("".join([line % tuple(row) for row in rows]))
+
+
+def _write_json(out, doc: dict, blocks) -> None:
+    # The bytes of json.dump(doc | {"samples": rows}), but encoded by the C
+    # encoder of json.dumps (json.dump runs the Python one) a block at a time.
+    out.write(json.dumps({**doc, "samples": []})[:-2])
+    for i, block in enumerate(blocks):
+        out.write((", " if i else "") + json.dumps(block)[1:-1])
+    out.write("]}\n")
 
 
 def _build_parser() -> _Parser:
@@ -128,6 +153,8 @@ def _parse_field(args) -> KillingField:
     for i, override in enumerate((args.v1, args.v2, args.v3)):
         if override is not None:
             v[i] = override
+    if not all(map(math.isfinite, v)):
+        raise _CliError("invalid-field", f"non-finite component in v = {v}")
     return KillingField(*v)
 
 
@@ -147,6 +174,8 @@ def _parse_ic(args):
                 values[key] = float(raw)
             except ValueError:
                 raise _CliError("invalid-ic", f"non-numeric value in {item!r}")
+            if not math.isfinite(values[key]):
+                raise _CliError("invalid-ic", f"non-finite value in {item!r}")
     if args.mode == "magnetic":
         return MagneticIC(**values)
     return NMagneticIC(**values)
@@ -160,6 +189,8 @@ def _parse_range(args) -> tuple[float, float, float | None]:
         numbers = [float(p) for p in parts]
     except ValueError:
         raise _CliError("invalid-range", f"non-numeric component in {args.srange!r}")
+    if not all(map(math.isfinite, numbers)):
+        raise _CliError("invalid-range", f"non-finite component in {args.srange!r}")
     s_start, s_end = numbers[0], numbers[1]
     step = numbers[2] if len(parts) == 3 else None
     if not s_end > s_start:
@@ -174,10 +205,12 @@ def _sample_grid(args) -> np.ndarray:
     samples = getattr(args, "samples", None)
     if step is not None and samples is not None:
         raise _CliError("invalid-flags", "give either a range step or --samples, not both")
-    if step is not None:
-        return np.asarray(_grid_points(IntegratorConfig(s_start, s_end, step)))
     if samples is None:
-        samples = DEFAULT_SAMPLES
+        samples = DEFAULT_SAMPLES if step is None else (s_end - s_start) / step
+    if samples > MAX_SAMPLES:
+        raise _CliError("invalid-flags", f"{samples:.3g} samples exceed the {MAX_SAMPLES:.0e} limit")
+    if step is not None:
+        return grid_points(IntegratorConfig(s_start, s_end, step))
     if samples < 2:
         raise _CliError("invalid-flags", "--samples must be at least 2")
     return np.linspace(s_start, s_end, samples)
@@ -225,62 +258,39 @@ def _cmd_solve(args) -> int:
     grid = _sample_grid(args)
     for line in _diagnostics(curve, float(grid[0])):
         print(line, file=sys.stderr)
-    rows = [
-        (s, s, curve.y.eval(s, 0), curve.z.eval(s, 0)) for s in (float(g) for g in grid)
-    ]
+    table = np.column_stack((grid, grid, curve.y.eval(grid), curve.z.eval(grid)))
     with _open_output(args) as out:
         if args.format == "csv":
-            out.write("s,x,y,z\n")
-            for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+            _write_csv(out, "s,x,y,z", table)
         else:
             tau = _curve_tau(curve, float(grid[0]))
             helix = None
             if curve.case.is_helix:
                 h = helix_decomposition(curve)
                 helix = {"r": h.r, "line": {"a": h.a, "b": h.b, "c": h.c, "d": h.d}}
-            doc = {
-                "case": curve.case.value,
-                "kappa": curve.kappa0,
-                "tau": tau,
-                "helix": helix,
-                "samples": [list(row) for row in rows],
-            }
-            json.dump(doc, out)
-            out.write("\n")
+            doc = {"case": curve.case.value, "kappa": curve.kappa0, "tau": tau, "helix": helix}
+            _write_json(out, doc, _blocks(table))
     return 0
 
 
 def _cmd_frenet(args) -> int:
     curve = _solve_curve(args)
     grid = _sample_grid(args)
-    for s in grid:
-        if frenet.curvature(curve, float(s)) == 0.0:
-            raise _CliError("zero-curvature", f"kappa vanishes at s = {_fmt(s)}")
-    frames = [(float(s), frenet.frenet_frame(curve, float(s))) for s in grid]
+    flat = frenet.curvature(curve, grid) == 0.0
+    if flat.any():
+        raise _CliError("zero-curvature", f"kappa vanishes at s = {_fmt(grid[flat.argmax()])}")
+    f = frenet.frenet_frame(curve, grid)
+    table = np.column_stack((grid, f.T, f.N, f.B, f.kappa, f.tau))
     with _open_output(args) as out:
         if args.format == "csv":
-            out.write("s,t1,t2,t3,n1,n2,n3,b1,b2,b3,kappa,tau\n")
-            for s, f in frames:
-                row = (s, *f.T.as_tuple(), *f.N.as_tuple(), *f.B.as_tuple(), f.kappa, f.tau)
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+            _write_csv(out, "s,t1,t2,t3,n1,n2,n3,b1,b2,b3,kappa,tau", table)
         else:
-            doc = {
-                "case": curve.case.value,
-                "samples": [
-                    {
-                        "s": s,
-                        "T": list(f.T.as_tuple()),
-                        "N": list(f.N.as_tuple()),
-                        "B": list(f.B.as_tuple()),
-                        "kappa": f.kappa,
-                        "tau": f.tau,
-                    }
-                    for s, f in frames
-                ],
-            }
-            json.dump(doc, out)
-            out.write("\n")
+            frames = (
+                [{"s": r[0], "T": r[1:4], "N": r[4:7], "B": r[7:10], "kappa": r[10], "tau": r[11]}
+                 for r in rows]
+                for rows in _blocks(table)
+            )
+            _write_json(out, {"case": curve.case.value}, frames)
     return 0
 
 
@@ -319,9 +329,9 @@ def _cmd_verify(args) -> int:
     deviation = max_deviation(curve, sampled)
 
     probes = np.linspace(s_start, s_end, VERIFY_SAMPLES)
-    residual = max(residual_at(float(s)) for s in probes)
-    kappas = [frenet.curvature(curve, float(s)) for s in probes]
-    curvature_spread = max(kappas) - min(kappas)
+    residual = residual_at(probes).max()
+    kappas = frenet.curvature(curve, probes)
+    curvature_spread = kappas.max() - kappas.min()
 
     metrics = {
         "deviation": deviation,
@@ -336,11 +346,8 @@ def _cmd_verify(args) -> int:
     lines.append(f"tau = {'nan' if tau is None else _fmt(tau)}")
     if curve.case.is_helix:
         helix = helix_decomposition(curve)
-        spread = max(
-            abs(norm(curve.eval(float(s), 0) - helix.point(float(s))) - helix.r)
-            for s in probes
-        )
-        metrics["helix_spread"] = spread
+        offsets = norm(curve.eval(probes) - helix.point(probes))
+        metrics["helix_spread"] = np.abs(offsets - helix.r).max()
         lines.append(f"helix_r = {_fmt(helix.r)}")
     for key, value in metrics.items():
         lines.append(f"{key} = {_fmt(value)}")

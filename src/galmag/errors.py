@@ -19,7 +19,3 @@ class IncompatibleIC(GalmagError):
 
 class NonFiniteState(GalmagError):
     """Integrator state or derivative became NaN or infinite."""
-
-
-class DomainMismatch(GalmagError):
-    """Sample grid extends outside the curve's parameter domain."""

@@ -10,22 +10,26 @@ with kappa = sqrt(y''**2 + z''**2) and tau = (y''*z''' - z''*y''')/kappa**2,
 and it satisfies T' = kappa*N, N' = tau*B, B' = -tau*N.  The frame is
 undefined where kappa = 0; all operations raise ZeroCurvature there
 instead of returning NaNs.
+
+Given an array of s (and a curve whose ``eval`` takes one), every function
+but `frenet_residual` returns arrays equal to the scalar results bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from galmag.errors import ZeroCurvature
-from galmag.galilean import GVector3, norm
+from galmag.galilean import GVector3, _components, _vector, norm
 
 __all__ = ["FrenetFrame", "curvature", "torsion", "frenet_frame", "frenet_residual"]
 
 
 @dataclass(frozen=True)
 class FrenetFrame:
-    """Frame vectors and scalar invariants at a fixed parameter value."""
+    """Frame vectors and scalar invariants at a parameter value (or array)."""
 
     T: GVector3
     N: GVector3
@@ -34,39 +38,35 @@ class FrenetFrame:
     tau: float
 
 
-def curvature(curve, s: float) -> float:
-    """kappa(s) = sqrt(y''(s)**2 + z''(s)**2)."""
-    acc = curve.eval(s, 2)
-    return math.hypot(acc.x2, acc.x3)
+def curvature(curve, s):
+    """kappa(s) = sqrt(y''(s)**2 + z''(s)**2), the norm of the isotropic gamma''."""
+    return norm(curve.eval(s, 2))
 
 
-def torsion(curve, s: float) -> float:
+def torsion(curve, s):
     """tau(s) = det(gamma', gamma'', gamma''') / kappa(s)**2.
 
     The determinant reduces to y''*z''' - z''*y''' because the second and
     third derivatives are isotropic.  Raises ZeroCurvature where kappa = 0.
     """
-    acc = curve.eval(s, 2)
-    kappa = math.hypot(acc.x2, acc.x3)
-    if kappa == 0.0:
-        raise ZeroCurvature(f"torsion undefined at s = {s}: curvature is zero")
-    jerk = curve.eval(s, 3)
-    return (acc.x2 * jerk.x3 - acc.x3 * jerk.x2) / (kappa * kappa)
+    return frenet_frame(curve, s).tau
 
 
-def frenet_frame(curve, s: float) -> FrenetFrame:
+def frenet_frame(curve, s) -> FrenetFrame:
     """Full trihedron with curvature and torsion; raises ZeroCurvature."""
     acc = curve.eval(s, 2)
-    kappa = math.hypot(acc.x2, acc.x3)
-    if kappa == 0.0:
-        raise ZeroCurvature(f"Frenet frame undefined at s = {s}: curvature is zero")
-    vel = curve.eval(s, 1)
-    jerk = curve.eval(s, 3)
-    t_vec = GVector3(1.0, vel.x2, vel.x3)
-    n_vec = GVector3(0.0, acc.x2 / kappa, acc.x3 / kappa)
-    b_vec = GVector3(0.0, -acc.x3 / kappa, acc.x2 / kappa)
-    tau = (acc.x2 * jerk.x3 - acc.x3 * jerk.x2) / (kappa * kappa)
-    return FrenetFrame(T=t_vec, N=n_vec, B=b_vec, kappa=kappa, tau=tau)
+    kappa = norm(acc)
+    flat = kappa == 0.0
+    if np.any(flat):
+        at = s[np.argmax(flat)] if isinstance(s, np.ndarray) else s
+        raise ZeroCurvature(f"Frenet frame undefined at s = {at}: curvature is zero")
+    _, a2, a3 = _components(acc)
+    _, j2, j3 = _components(curve.eval(s, 3))
+    n_vec = _vector(0.0, a2 / kappa, a3 / kappa)
+    b_vec = _vector(0.0, -a3 / kappa, a2 / kappa)
+    tau = (a2 * j3 - a3 * j2) / (kappa * kappa)
+    # gamma' = (1, y', z') is the unit tangent itself.
+    return FrenetFrame(T=curve.eval(s, 1), N=n_vec, B=b_vec, kappa=kappa, tau=tau)
 
 
 def frenet_residual(curve, s: float, h: float = 1e-5) -> tuple[float, float, float]:

@@ -9,6 +9,9 @@ Branch selection uses exact ``== 0`` comparisons on the stored doubles,
 never an epsilon: the case split of the geometry is exact, and snapping
 near-zero components would silently move the case boundaries of the
 trajectory classification built on top of this module.
+
+`norm` and `cross` also take (n, 3) arrays of row vectors, classify each row
+on its own and match the GVector3 results row by row, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "GVector3",
@@ -63,6 +68,30 @@ class GVector3:
 ZERO = GVector3(0.0, 0.0, 0.0)
 
 
+def _components(x):
+    """(x1, x2, x3) of a GVector3, or the three columns of (n, 3) rows."""
+    return x.as_tuple() if isinstance(x, GVector3) else tuple(x.T)
+
+
+def _vector(x1, x2, x3):
+    """A GVector3, or (n, 3) rows when any component is an array."""
+    if any(isinstance(c, np.ndarray) for c in (x1, x2, x3)):
+        return np.column_stack(np.broadcast_arrays(x1, x2, x3))
+    return GVector3(x1, x2, x3)
+
+
+def _select(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _hypot(a, b):
+    # np.hypot can differ from math.hypot in the last ulp, so arrays map
+    # math.hypot to keep them equal to the scalar results.
+    if isinstance(a, np.ndarray):
+        return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, len(a))
+    return math.hypot(a, b)
+
+
 def classify(x: GVector3) -> IsotropyClass:
     """Isotropy class of ``x``; the zero vector counts as isotropic."""
     if x.x1 != 0.0:
@@ -81,24 +110,24 @@ def scalar_product(x: GVector3, y: GVector3) -> float:
     return x.x2 * y.x2 + x.x3 * y.x3
 
 
-def norm(x: GVector3) -> float:
+def norm(x):
     """|x1| for non-isotropic vectors, the Euclidean yz-norm otherwise."""
-    if x.x1 != 0.0:
-        return abs(x.x1)
-    return math.hypot(x.x2, x.x3)
+    x1, x2, x3 = _components(x)
+    return _select(x1 != 0.0, abs(x1), _hypot(x2, x3))
 
 
-def cross(x: GVector3, y: GVector3) -> GVector3:
+def cross(x, y):
     """Galilean cross product.
 
     When either argument is non-isotropic the result is the isotropic
     vector (0, -(x1*y3 - x3*y1), x1*y2 - x2*y1); when both are isotropic
     the result lies on the absolute axis, (x2*y3 - x3*y2, 0, 0).
     """
-    if x.x1 != 0.0 or y.x1 != 0.0:
-        return GVector3(
-            0.0,
-            -(x.x1 * y.x3 - x.x3 * y.x1),
-            x.x1 * y.x2 - x.x2 * y.x1,
-        )
-    return GVector3(x.x2 * y.x3 - x.x3 * y.x2, 0.0, 0.0)
+    x1, x2, x3 = _components(x)
+    y1, y2, y3 = _components(y)
+    mixed = (x1 != 0.0) | (y1 != 0.0)
+    return _vector(
+        _select(mixed, 0.0, x2 * y3 - x3 * y2),
+        _select(mixed, -(x1 * y3 - x3 * y1), 0.0),
+        _select(mixed, x1 * y2 - x2 * y1, 0.0),
+    )

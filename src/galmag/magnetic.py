@@ -28,8 +28,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
+import numpy as np
+
 from galmag.errors import IncompatibleIC, WrongCase, ZeroCurvature
-from galmag.galilean import GVector3, cross, norm
+from galmag.galilean import GVector3, _vector, cross, norm
 
 __all__ = [
     "KillingField",
@@ -55,8 +57,6 @@ __all__ = [
 # Below this, 1/v1**2 amplifies the initial data by >= 1e24; the closed
 # form is still exact but numerically treacherous.
 _TINY_V1 = 1e-12
-
-UNBOUNDED = (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,12 @@ class QuadSinusoid:
     a_sin: float = 0.0
     omega: float = 0.0
 
-    def eval(self, s: float, order: int = 0) -> float:
-        """Value of the function (order 0) or of its derivative (order 1..3)."""
+    def eval(self, s, order: int = 0):
+        """Value of the function (order 0) or of its derivative (order 1..3).
+
+        s is a float or a 1-D array; an array takes the same operations, so
+        it matches the scalar results bit for bit (np.cos/np.sin round as math's).
+        """
         if order == 0:
             val = self.c0 + s * (self.c1 + s * self.c2)
         elif order == 1:
@@ -146,8 +150,9 @@ class QuadSinusoid:
             raise ValueError(f"derivative order must be 0..3, got {order}")
         if self.omega != 0.0:
             w = self.omega
-            c = math.cos(w * s)
-            sn = math.sin(w * s)
+            cos, sin = (np.cos, np.sin) if isinstance(s, np.ndarray) else (math.cos, math.sin)
+            c = cos(w * s)
+            sn = sin(w * s)
             if order == 0:
                 val += self.a_cos * c + self.a_sin * sn
             elif order == 1:
@@ -156,6 +161,8 @@ class QuadSinusoid:
                 val -= w * w * (self.a_cos * c + self.a_sin * sn)
             else:
                 val += w * w * w * (self.a_cos * sn - self.a_sin * c)
+        if isinstance(s, np.ndarray) and not isinstance(val, np.ndarray):
+            val = np.full(s.shape, val)
         return val
 
 
@@ -173,17 +180,17 @@ class ClosedFormCurve:
     ic: Union[MagneticIC, NMagneticIC]
     y: QuadSinusoid
     z: QuadSinusoid
-    domain: tuple[float, float] = UNBOUNDED
 
-    def eval(self, s: float, order: int = 0) -> GVector3:
-        """gamma(s) and its derivatives; the x-component is s, 1, 0, 0."""
-        if order == 0:
-            return GVector3(s, self.y.eval(s, 0), self.z.eval(s, 0))
-        if order == 1:
-            return GVector3(1.0, self.y.eval(s, 1), self.z.eval(s, 1))
-        if order in (2, 3):
-            return GVector3(0.0, self.y.eval(s, order), self.z.eval(s, order))
-        raise ValueError(f"derivative order must be 0..3, got {order}")
+    def eval(self, s, order: int = 0):
+        """gamma(s) and its derivatives; the x-component is s, 1, 0, 0.
+
+        A float s gives a GVector3.  A 1-D array gives (n, 3) rows, each
+        equal bit for bit to the GVector3 at that s.
+        """
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"derivative order must be 0..3, got {order}")
+        x1 = (s, 1.0, 0.0, 0.0)[order]
+        return _vector(x1, self.y.eval(s, order), self.z.eval(s, order))
 
     @property
     def kappa0(self) -> float:
@@ -202,8 +209,9 @@ class HelixData:
     c: float
     d: float
 
-    def point(self, s: float) -> GVector3:
-        return GVector3(s, self.a * s + self.b, self.c * s + self.d)
+    def point(self, s):
+        """Axis point at s; (n, 3) rows for an array s."""
+        return _vector(s, self.a * s + self.b, self.c * s + self.d)
 
 
 def lorentz_force(field: KillingField, x: GVector3) -> GVector3:
@@ -258,12 +266,7 @@ def b_magnetic_rhs(
     v1 != 0 and y''' = z''' = 0 for v1 = 0.  Only the v1 = 0 compatibility
     constraint differs; see `b_magnetic_constraint`.
     """
-    if kappa0 <= 0.0:
-        raise ValueError(f"kappa0 must be positive, got {kappa0}")
-    _y, _z, yd, zd, ydd, zdd = state
-    if field.v1 != 0.0:
-        return (yd, zd, ydd, zdd, -field.v1 * zdd, field.v1 * ydd)
-    return (yd, zd, ydd, zdd, 0.0, 0.0)
+    return n_magnetic_rhs(field, kappa0, state)
 
 
 def b_magnetic_constraint(field: KillingField, state) -> float:
@@ -415,15 +418,17 @@ def helix_decomposition(curve: ClosedFormCurve) -> HelixData:
     return HelixData(r=r, a=curve.y.c1, b=curve.y.c0, c=curve.z.c1, d=curve.z.c0)
 
 
-def lorentz_residual(curve: ClosedFormCurve, s: float) -> float:
-    """Galilean norm of gamma''(s) - V x gamma'(s)."""
+def lorentz_residual(curve: ClosedFormCurve, s):
+    """Galilean norm of gamma''(s) - V x gamma'(s); an array for an array s."""
     acc = curve.eval(s, 2)
     force = lorentz_force(curve.field, curve.eval(s, 1))
     return norm(acc - force)
 
 
-def n_magnetic_residual(curve: ClosedFormCurve, s: float) -> float:
+def n_magnetic_residual(curve: ClosedFormCurve, s):
     """Galilean norm of N'(s) - V x N(s) for the unit normal N.
+
+    s may be a 1-D array, which gives an array of norms.
 
     Raises ZeroCurvature when the curve's constant curvature vanishes.
     """

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from galmag.cli import main
+from galmag.frenet import frenet_frame
 from galmag.magnetic import KillingField, MagneticIC, solve_magnetic
 
 GREEN_ARGS = [
@@ -17,6 +19,11 @@ HELIX_ARGS = [
     "--ic", "Z0=1",
 ]
 TWO_PI = f"0:{2 * math.pi}"
+# the curves GREEN_ARGS and HELIX_ARGS describe
+CURVES = [
+    (GREEN_ARGS, solve_magnetic(KillingField(0, 1, 1), MagneticIC(1, 5, 4, 3))),
+    (HELIX_ARGS, solve_magnetic(KillingField(1, 0, 0), MagneticIC(0, 0, 0, 1))),
+]
 
 
 def run(capsys, argv):
@@ -74,6 +81,16 @@ class TestSolve:
         assert x == s == pytest.approx(2 * math.pi)
         assert y == pytest.approx(math.cos(s) - 1)
         assert z == pytest.approx(math.sin(s))
+
+    @pytest.mark.parametrize("args, crv", CURVES)
+    def test_json_samples_equal_scalar_eval(self, capsys, args, crv):
+        code, out, _ = run(
+            capsys, ["solve", *args, "--range=-1.5:7", "--samples", "97", "--format", "json"]
+        )
+        assert code == 0
+        expected = [[s, s, crv.y.eval(s), crv.z.eval(s)]
+                    for s in np.linspace(-1.5, 7, 97).tolist()]
+        assert json.loads(out)["samples"] == expected
 
     def test_json_parabola_has_null_helix(self, capsys):
         code, out, _ = run(
@@ -188,6 +205,33 @@ class TestSolveErrors:
         assert code == 2
         assert err.startswith("error: invalid-flags")
 
+    @pytest.mark.parametrize("flags, reason", [
+        (["--v", "nan,0,0"], "invalid-field"),
+        (["--ic", "Z0=inf"], "invalid-ic"),
+        (["--range", "0:inf", "--samples", "3"], "invalid-range"),
+    ])
+    def test_non_finite_input_rejected(self, capsys, flags, reason):
+        argv = ["solve", "--mode", "magnetic", *flags]
+        if "--range" not in flags:
+            argv += ["--range", "0:1"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {reason}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "frenet"])
+    @pytest.mark.parametrize("grid", [["0:1", "--samples", "10000000001"], ["0:1:1e-8"]])
+    def test_huge_grid_rejected_before_allocation(self, capsys, monkeypatch, command, grid):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sample grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(np, "arange", refuse)
+        code, _, err = run(capsys, [command, *GREEN_ARGS, "--range", *grid])
+        assert code == 2
+        assert err.startswith("error: invalid-flags")
+
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys, [])
         assert code == 2
@@ -293,6 +337,17 @@ class TestFrenet:
             row = [float(v) for v in line.split(",")]
             assert row[10] == pytest.approx(1.0, abs=1e-12)
             assert row[11] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("args, crv", CURVES)
+    def test_csv_rows_equal_scalar_frames(self, capsys, args, crv):
+        code, out, _ = run(capsys, ["frenet", *args, "--range=-2:5", "--samples", "61"])
+        assert code == 0
+        expected = []
+        for s in np.linspace(-2, 5, 61).tolist():
+            f = frenet_frame(crv, s)
+            row = (s, *f.T.as_tuple(), *f.N.as_tuple(), *f.B.as_tuple(), f.kappa, f.tau)
+            expected.append(",".join(format(v, ".17g") for v in row))
+        assert out.splitlines()[1:] == expected
 
     def test_json_frames(self, capsys):
         code, out, _ = run(

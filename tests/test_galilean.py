@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -175,3 +176,19 @@ class TestVectorArithmetic:
         # no overflow in the isotropic norm for large components
         big = GVector3(0.0, 1e200, 1e200)
         assert norm(big) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+
+
+class TestRowArrays:
+    @given(st.lists(st.tuples(gvectors(), gvectors()), min_size=1, max_size=20))
+    def test_rows_match_scalar_results_exactly(self, pairs):
+        xs = np.array([x.as_tuple() for x, _ in pairs], dtype=float)
+        ys = np.array([y.as_tuple() for _, y in pairs], dtype=float)
+        norms = norm(xs)
+        crosses = cross(xs, ys)
+        assert crosses.shape == (len(pairs), 3)
+        # compare bytes, so that the sign of a zero must agree as well
+        for i, (x, y) in enumerate(pairs):
+            assert norms[i:i + 1].tobytes() == np.float64(norm(x)).tobytes()
+            assert crosses[i].tobytes() == np.array(cross(x, y).as_tuple()).tobytes()
+            # a single vector against rows, as the Lorentz force uses it
+            assert cross(x, ys)[i].tobytes() == np.array(cross(x, y).as_tuple()).tobytes()
