@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -32,7 +33,13 @@ from galmag.magnetic import (
     solve_magnetic,
     solve_n_magnetic,
 )
-from galmag.oracle import IntegratorConfig, grid_points, integrate, max_deviation
+from galmag.oracle import (
+    IntegratorConfig,
+    SampledCurve,
+    grid_points,
+    integrate,
+    max_deviation,
+)
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_RK4_STEP = 1e-3
@@ -58,6 +65,11 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token such as -1:1, -1,0,0 or -.5 is a value, not a flag.
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     # one-line machine-readable reason instead of argparse's usage dump
     def error(self, message):
         print(f"error: invalid-flags ({message})", file=sys.stderr)
@@ -311,6 +323,32 @@ def _verify_tolerance(args) -> float:
     return tol
 
 
+def _oracle_deviation(curve, rhs, initial, s_start, s_end, step) -> float:
+    """Largest position deviation of RK4 from the closed form on [s_start, s_end].
+
+    The initial data hold at s = 0, so RK4 starts there: forward up to
+    s_end, and for s_start < 0 backward, as the negated system in u = -s,
+    whose state at u is still (y, z, y', ...) of the curve at s = -u.
+    """
+    deviation = 0.0
+    if s_end > 0.0:
+        sampled = integrate(rhs, initial, IntegratorConfig(0.0, s_end, step))
+        if s_start > 0.0:
+            inside = sampled.grid >= s_start
+            sampled = SampledCurve(sampled.grid[inside], sampled.states[inside])
+        deviation = max_deviation(curve, sampled)
+    if s_start < 0.0:
+        back = integrate(
+            lambda state: tuple([-k for k in rhs(state)]),
+            initial,
+            IntegratorConfig(0.0, -s_start, step),
+        )
+        inside = back.grid >= -s_end
+        sampled = SampledCurve(-back.grid[inside], back.states[inside])
+        deviation = max(deviation, max_deviation(curve, sampled))
+    return deviation
+
+
 def _cmd_verify(args) -> int:
     tol = _verify_tolerance(args)
     curve = _solve_curve(args)
@@ -325,8 +363,7 @@ def _cmd_verify(args) -> int:
         initial = (ic.y0, ic.z0, ic.Y0, ic.Z0, ic.T0, ic.U0)
         residual_at = partial(n_magnetic_residual, curve)
 
-    sampled = integrate(rhs, initial, IntegratorConfig(s_start, s_end, args.step))
-    deviation = max_deviation(curve, sampled)
+    deviation = _oracle_deviation(curve, rhs, initial, s_start, s_end, args.step)
 
     probes = np.linspace(s_start, s_end, VERIFY_SAMPLES)
     residual = residual_at(probes).max()

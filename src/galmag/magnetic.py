@@ -276,8 +276,10 @@ def b_magnetic_constraint(field: KillingField, state) -> float:
     return field.v2 * state[4] + field.v3 * state[5]
 
 
-def _warn_tiny_v1(v1: float) -> None:
-    if 0.0 < abs(v1) < _TINY_V1:
+def _check_tiny_v1(v1: float) -> None:
+    if v1 * v1 == 0.0:
+        raise ValueError(f"|v1| = {abs(v1):.3e} is too small: v1**2 underflows to 0")
+    if abs(v1) < _TINY_V1:
         warnings.warn(
             f"|v1| = {abs(v1):.3e} is below {_TINY_V1:g}; the helix radius "
             "scales like 1/v1**2 and the solution coefficients may overflow "
@@ -285,6 +287,14 @@ def _warn_tiny_v1(v1: float) -> None:
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+def _helix_curve(case, field, ic, y: QuadSinusoid, z: QuadSinusoid) -> ClosedFormCurve:
+    # an overflowed coefficient would print nan/inf rows with exit 0
+    coeffs = (y.c0, y.c1, y.a_cos, y.a_sin, z.c0, z.c1, z.a_cos, z.a_sin)
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"helix coefficients overflow for v1 = {field.v1!r}")
+    return ClosedFormCurve(case, field, ic, y, z)
 
 
 def solve_magnetic(field: KillingField, ic: MagneticIC) -> ClosedFormCurve:
@@ -306,19 +316,24 @@ def solve_magnetic(field: KillingField, ic: MagneticIC) -> ClosedFormCurve:
 
         otherwise the cylindrical helix with oscillation amplitudes
         A = (Z0 - v3/v1)/v1 and B = (Y0 - v2/v1)/v1, angular frequency v1
-        and drift slopes (v2/v1, v3/v1).  Total on all inputs.
+        and drift slopes (v2/v1, v3/v1).
+
+    Raises
+    ------
+    ValueError
+        If v1**2 underflows to 0 or a helix coefficient overflows.
     """
     v1, v2, v3 = field.v1, field.v2, field.v3
     if v1 == 0.0:
         y = QuadSinusoid(c0=ic.y0, c1=ic.Y0, c2=0.5 * v3)
         z = QuadSinusoid(c0=ic.z0, c1=ic.Z0, c2=-0.5 * v2)
         return ClosedFormCurve(CurveCase.MAGNETIC_PARABOLA, field, ic, y, z)
-    _warn_tiny_v1(v1)
+    _check_tiny_v1(v1)
     a = (ic.Z0 - v3 / v1) / v1
     b = (ic.Y0 - v2 / v1) / v1
     y = QuadSinusoid(c0=ic.y0 - a, c1=v2 / v1, a_cos=a, a_sin=b, omega=v1)
     z = QuadSinusoid(c0=ic.z0 + b, c1=v3 / v1, a_cos=-b, a_sin=a, omega=v1)
-    return ClosedFormCurve(CurveCase.MAGNETIC_HELIX, field, ic, y, z)
+    return _helix_curve(CurveCase.MAGNETIC_HELIX, field, ic, y, z)
 
 
 def solve_n_magnetic(
@@ -356,12 +371,14 @@ def solve_n_magnetic(
         If T0 = U0 = 0.
     IncompatibleIC
         If v1 = 0 and the compatibility constraint is violated.
+    ValueError
+        If v1**2 underflows to 0 or a helix coefficient overflows.
     """
     v1, v2, v3 = field.v1, field.v2, field.v3
     if ic.T0 == 0.0 and ic.U0 == 0.0:
         raise ZeroCurvature("T0 = U0 = 0: constant curvature would vanish")
     if v1 != 0.0:
-        _warn_tiny_v1(v1)
+        _check_tiny_v1(v1)
         v1sq = v1 * v1
         y = QuadSinusoid(
             c0=ic.y0 + ic.T0 / v1sq,
@@ -377,7 +394,7 @@ def solve_n_magnetic(
             a_sin=-ic.T0 / v1sq,
             omega=v1,
         )
-        return ClosedFormCurve(CurveCase.NMAGNETIC_HELIX, field, ic, y, z)
+        return _helix_curve(CurveCase.NMAGNETIC_HELIX, field, ic, y, z)
 
     constraint = v2 * ic.U0 - v3 * ic.T0
     scale = 1.0 + abs(v2 * ic.U0) + abs(v3 * ic.T0)

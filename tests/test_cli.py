@@ -232,10 +232,45 @@ class TestSolveErrors:
         assert code == 2
         assert err.startswith("error: invalid-flags")
 
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "nmagnetic", "--v", "1e-200,0,0", "--ic", "T0=1"],
+        ["--mode", "magnetic", "--v", "1e-200,0,0.5", "--ic", "y0=1", "--samples", "3"],
+    ])
+    def test_underflowing_v1_squared_rejected(self, capsys, argv):
+        code, out, err = run(capsys, ["solve", *argv, "--range", "0:1"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input (")
+        assert err.count("\n") == 1
+
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys, [])
         assert code == 2
         assert err.startswith("error: invalid-flags")
+
+
+class TestNegativeValues:
+    """A value starting with '-' may follow its flag as a separate argument."""
+
+    def test_range(self, capsys):
+        code, out, _ = run(capsys, ["solve", *GREEN_ARGS, "--range", "-1:1", "--samples", "3"])
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["-1", "0", "1"]
+
+    def test_field(self, capsys):
+        code, out, _ = run(
+            capsys, ["verify", "--mode", "magnetic", "--v", "-1,0,0", "--ic", "Z0=1",
+                     "--range", "-.5:1"],
+        )
+        assert code == 0
+        assert parse_report(out)["tau"] == "-1"
+
+    def test_field_component(self, capsys):
+        code, out, _ = run(
+            capsys, ["verify", *HELIX_ARGS, "--v1", "-2e-1", "--v2", "-1", "--range", "0:1"]
+        )
+        assert code == 0
+        assert float(parse_report(out)["tau"]) == pytest.approx(-0.2)
 
 
 class TestVerify:
@@ -301,6 +336,19 @@ class TestVerify:
         )
         assert code == 0
         assert float(parse_report(out)["deviation"]) < 5e-15
+
+    @pytest.mark.parametrize("window", ["2:5", "-2:3", "-3:-1"])
+    def test_offset_window_integrates_from_the_initial_data(self, capsys, window):
+        # the initial data hold at s = 0, wherever the window lies
+        argv = ["verify", "--mode", "magnetic", "--v", "1,0.5,0.7", "--ic", "y0=1,Y0=0.3"]
+        code, out, _ = run(capsys, [*argv, "--range", window])
+        assert code == 0
+        deviation = float(parse_report(out)["deviation"])
+        assert deviation < 1e-12
+        if window == "2:5":
+            # a subset of the grid points of the window from 0
+            _, full, _ = run(capsys, [*argv, "--range", "0:5"])
+            assert deviation <= float(parse_report(full)["deviation"])
 
     def test_incompatible_ic_is_validation_error(self, capsys):
         code, _, err = run(

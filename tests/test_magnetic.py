@@ -125,6 +125,18 @@ class TestSolveMagnetic:
         with pytest.warns(RuntimeWarning, match="helix radius"):
             solve_magnetic(KillingField(1e-13, 0, 0), MagneticIC(0, 0, 0, 1))
 
+    def test_underflowing_v1_squared_rejected(self):
+        with pytest.raises(ValueError, match="underflows"):
+            solve_magnetic(KillingField(1e-200, 0, 0), MagneticIC(0, 0, 0, 0))
+        with pytest.raises(ValueError, match="underflows"):
+            solve_n_magnetic(KillingField(-1e-170, 0, 0), NMagneticIC(0, 0, 1, 0, 0, 0))
+
+    def test_overflowing_coefficients_rejected(self):
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflow"):
+            solve_magnetic(KillingField(1e-160, 0, 1), MagneticIC(1, 0, 0, 0))
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="overflow"):
+            solve_n_magnetic(KillingField(1e-160, 0, 0), NMagneticIC(0, 0, 1e10, 0, 0, 0))
+
 
 class TestHelixDecomposition:
     def test_unit_circle(self):

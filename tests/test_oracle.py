@@ -25,6 +25,66 @@ from galmag.oracle import (
 )
 
 
+def _reference_integrate(rhs, initial, cfg):
+    """The textbook per-component RK4 loop that `integrate` unrolls."""
+    state = [float(w) for w in initial]
+    m = len(state)
+    grid = grid_points(cfg).tolist()
+    states = [tuple(state)]
+    comp = [0.0] * m
+    sixth = 1.0 / 6.0
+    s_prev = grid[0]
+    for s_next in grid[1:]:
+        h = s_next - s_prev
+        half = 0.5 * h
+        st = tuple(state)
+        k1 = rhs(st)
+        k2 = rhs(tuple(w + half * k for w, k in zip(st, k1)))
+        k3 = rhs(tuple(w + half * k for w, k in zip(st, k2)))
+        k4 = rhs(tuple(w + h * k for w, k in zip(st, k3)))
+        for j in range(m):
+            inc = h * sixth * (k1[j] + 2.0 * (k2[j] + k3[j]) + k4[j]) - comp[j]
+            t = state[j] + inc
+            comp[j] = (t - state[j]) - inc
+            state[j] = t
+        total = 0.0
+        for w in state:
+            total += w
+        if not math.isfinite(total) and any(not math.isfinite(w) for w in state):
+            raise NonFiniteState(f"state became non-finite at s = {s_next}")
+        states.append(tuple(state))
+        s_prev = s_next
+    return SampledCurve(grid=np.asarray(grid), states=np.asarray(states))
+
+
+def affine_rhs(matrix, offset):
+    def rhs(st):
+        return tuple(
+            sum(a * w for a, w in zip(row, st)) + c for row, c in zip(matrix, offset)
+        )
+    return rhs
+
+
+@st.composite
+def affine_systems(draw):
+    m = draw(st.integers(1, 6))
+    coeff = st.floats(-2.0, 2.0)
+    matrix = [[draw(coeff) for _ in range(m)] for _ in range(m)]
+    offset = [draw(coeff) for _ in range(m)]
+    initial = [draw(st.floats(-10.0, 10.0)) for _ in range(m)]
+    return affine_rhs(matrix, offset), initial
+
+
+@st.composite
+def short_last_step_windows(draw):
+    # n full steps and a shorter last one, from a start of either sign
+    s_start = draw(st.floats(-5.0, 5.0))
+    length = draw(st.floats(0.05, 3.0))
+    n = draw(st.integers(1, 120))
+    step = length / (n + draw(st.floats(0.1, 0.9)))
+    return IntegratorConfig(s_start, s_start + length, step)
+
+
 def magnetic_initial(ic):
     return (ic.y0, ic.z0, ic.Y0, ic.Z0)
 
@@ -153,6 +213,42 @@ class TestIntegrate:
         cfg = IntegratorConfig(0.0, 1.0, step=0.1)
         with pytest.raises(NonFiniteState):
             integrate(lambda st: (st[0] * st[0],), (1e200,), cfg)
+
+    @given(affine_systems(), short_last_step_windows())
+    def test_bit_identical_to_reference_loop(self, system, cfg):
+        rhs, initial = system
+        got = integrate(rhs, initial, cfg)
+        want = _reference_integrate(rhs, initial, cfg)
+        assert np.array_equal(got.grid, want.grid)
+        assert got.states.shape == want.states.shape
+        assert np.array_equal(got.states, want.states)
+
+    @given(st.integers(1, 6), st.data())
+    def test_nonfinite_at_reference_s(self, m, data):
+        # one component grows like u' = u**2 from a huge start
+        big = data.draw(st.integers(0, m - 1))
+        initial = [1.0] * m
+        initial[big] = 10.0 ** data.draw(st.floats(5.0, 300.0))
+
+        def rhs(state):
+            return tuple(w * w if j == big else -w for j, w in enumerate(state))
+
+        cfg = IntegratorConfig(0.0, 10.0, step=0.1)
+        with pytest.raises(NonFiniteState) as want:
+            _reference_integrate(rhs, initial, cfg)
+        with pytest.raises(NonFiniteState) as got:
+            integrate(rhs, initial, cfg)
+        assert str(got.value) == str(want.value)
+
+    def test_four_rhs_calls_per_step(self):
+        calls = []
+
+        def rhs(state):
+            calls.append(state)
+            return (1.0, -state[0])
+
+        sampled = integrate(rhs, (0.0, 1.0), IntegratorConfig(0.0, 1.0, step=0.1))
+        assert len(calls) == 1 + 4 * (len(sampled.grid) - 1)
 
     def test_rhs_arity_checked(self):
         cfg = IntegratorConfig(0.0, 1.0, step=0.1)
