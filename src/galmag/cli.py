@@ -338,11 +338,14 @@ def _oracle_deviation(curve, rhs, initial, s_start, s_end, step) -> float:
             sampled = SampledCurve(sampled.grid[inside], sampled.states[inside])
         deviation = max_deviation(curve, sampled)
     if s_start < 0.0:
-        back = integrate(
-            lambda state: tuple([-k for k in rhs(state)]),
-            initial,
-            IntegratorConfig(0.0, -s_start, step),
-        )
+        try:
+            back = integrate(
+                lambda state: tuple([-k for k in rhs(state)]),
+                initial,
+                IntegratorConfig(0.0, -s_start, step),
+            )
+        except NonFiniteState as exc:
+            raise NonFiniteState(f"state became non-finite at s = {-exc.s}", -exc.s) from None
         inside = back.grid >= -s_end
         sampled = SampledCurve(-back.grid[inside], back.states[inside])
         deviation = max(deviation, max_deviation(curve, sampled))

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
 
 class GalmagError(Exception):
     """Base class for all galmag-specific errors."""
@@ -18,4 +20,8 @@ class IncompatibleIC(GalmagError):
 
 
 class NonFiniteState(GalmagError):
-    """Integrator state or derivative became NaN or infinite."""
+    """Integrator state or derivative became NaN or infinite (at parameter s)."""
+
+    def __init__(self, message: str, s: float | None = None):
+        super().__init__(message)
+        self.s = s

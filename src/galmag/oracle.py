@@ -134,7 +134,7 @@ def _rk4_kernel(m: int):
         f"        st = {_tuple_src(x)}",
         # a finite sum proves every component finite; otherwise look closer
         f"        if not isfinite({' + '.join(x) or '0.0'}) and not all(map(isfinite, st)):",
-        "            raise NonFiniteState(f'state became non-finite at s = {s_next}')",
+        "            raise NonFiniteState(f'state became non-finite at s = {s_next}', s_next)",
         "        append(st)",
         "        s_prev = s_next",
         "    return states",

@@ -350,6 +350,14 @@ class TestVerify:
             _, full, _ = run(capsys, [*argv, "--range", "0:5"])
             assert deviation <= float(parse_report(full)["deviation"])
 
+    def test_backward_overflow_reports_its_s(self, capsys):
+        code, _, err = run(
+            capsys, ["verify", "--mode", "magnetic", "--ic", "y0=1e308,Y0=-1e308",
+                     "--range", "-2:0"],
+        )
+        assert code == 2
+        assert err == "error: nonfinite-state (state became non-finite at s = -0.001)\n"
+
     def test_incompatible_ic_is_validation_error(self, capsys):
         code, _, err = run(
             capsys,

@@ -239,6 +239,7 @@ class TestIntegrate:
         with pytest.raises(NonFiniteState) as got:
             integrate(rhs, initial, cfg)
         assert str(got.value) == str(want.value)
+        assert str(got.value).endswith(f"s = {got.value.s}")
 
     def test_four_rhs_calls_per_step(self):
         calls = []
