@@ -12,10 +12,9 @@ Usage:
 import argparse
 import math
 import sys
-from functools import partial
 
-from galmag.magnetic import KillingField, MagneticIC, magnetic_rhs, solve_magnetic
-from galmag.oracle import IntegratorConfig, integrate, max_deviation
+from galmag.magnetic import KillingField, MagneticIC, solve_magnetic
+from galmag.oracle import verify
 
 FIELD = KillingField(1, 0, 0)
 IC = MagneticIC(0, 0, 0, 1)
@@ -29,14 +28,11 @@ def main():
     steps = [float(s) for s in args.steps.split(",")]
 
     curve = solve_magnetic(FIELD, IC)
-    rhs = partial(magnetic_rhs, FIELD)
-    initial = (IC.y0, IC.z0, IC.Y0, IC.Z0)
 
     print(f"{'step':>10s} {'deviation':>13s} {'ratio':>8s} {'order':>7s}")
     prev_dev = prev_step = None
     for step in steps:
-        cfg = IntegratorConfig(*WINDOW, step=step)
-        dev = max_deviation(curve, integrate(rhs, initial, cfg))
+        dev = verify(curve, *WINDOW, step)["deviation"]
         if prev_dev is None:
             print(f"{step:10.1e} {dev:13.3e} {'-':>8s} {'-':>7s}")
         else:

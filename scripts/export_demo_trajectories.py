@@ -15,7 +15,6 @@ Usage:
 import argparse
 import math
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +24,10 @@ from galmag.magnetic import (
     KillingField,
     MagneticIC,
     NMagneticIC,
-    magnetic_rhs,
-    n_magnetic_rhs,
     solve_magnetic,
     solve_n_magnetic,
 )
-from galmag.oracle import IntegratorConfig, integrate, max_deviation
+from galmag.oracle import verify
 
 MAGNETIC_IC = MagneticIC(y0=1, Y0=5, z0=4, Z0=3)
 MAGNETIC_FIELDS = [(0, 0, 0), (0, 1, 1), (0, 2, 2)]
@@ -46,6 +43,7 @@ NMAGNETIC_RUNS = [
     ((0, 1, 2), (1.0, 2.0)),
 ]
 NMAGNETIC_WINDOW = (0.0, 5.0)
+STEP = 1e-3  # RK4 step of the cross-check
 
 
 def write_csv(path, curve, s_start, s_end, step=0.01):
@@ -58,11 +56,6 @@ def write_csv(path, curve, s_start, s_end, step=0.01):
                 f"{s:.17g},{s:.17g},{curve.y.eval(s):.17g},{curve.z.eval(s):.17g}\n"
             )
     return len(grid)
-
-
-def verify(curve, rhs, initial, s_start, s_end):
-    cfg = IntegratorConfig(s_start, s_end, step=1e-3)
-    return max_deviation(curve, integrate(rhs, initial, cfg))
 
 
 def main():
@@ -78,12 +71,7 @@ def main():
         curve = solve_magnetic(field, MAGNETIC_IC)
         name = f"magnetic_v{coeffs[0]}{coeffs[1]}{coeffs[2]}.csv"
         rows = write_csv(outdir / name, curve, *MAGNETIC_WINDOW)
-        dev = verify(
-            curve,
-            partial(magnetic_rhs, field),
-            (MAGNETIC_IC.y0, MAGNETIC_IC.z0, MAGNETIC_IC.Y0, MAGNETIC_IC.Z0),
-            *MAGNETIC_WINDOW,
-        )
+        dev = verify(curve, *MAGNETIC_WINDOW, STEP)["deviation"]
         print(f"  V={coeffs}  case={curve.case.value:18s} rows={rows}  "
               f"rk4 deviation={dev:.2e}  -> {name}")
 
@@ -100,12 +88,7 @@ def main():
         curve = solve_n_magnetic(field, ic)
         name = f"nmagnetic_v{coeffs[0]}{coeffs[1]}{coeffs[2]}.csv"
         rows = write_csv(outdir / name, curve, *NMAGNETIC_WINDOW)
-        dev = verify(
-            curve,
-            partial(n_magnetic_rhs, field, ic.kappa0),
-            (ic.y0, ic.z0, ic.Y0, ic.Z0, ic.T0, ic.U0),
-            *NMAGNETIC_WINDOW,
-        )
+        dev = verify(curve, *NMAGNETIC_WINDOW, STEP)["deviation"]
         print(f"  V={coeffs}  case={curve.case.value:18s} rows={rows}  "
               f"T0={t0} U0={u0}  rk4 deviation={dev:.2e}  -> {name}")
     print(f"wrote {outdir}/")

@@ -3,7 +3,7 @@
 Exact vector algebra of the Galilean 3-space, Frenet data of admissible
 curves, closed-form solutions of the magnetic and N-magnetic trajectory
 equations under constant Killing fields, and an independent fixed-step
-RK4 oracle to verify the closed forms against the raw ODE systems.
+RK4 oracle (`verify`) to check the closed forms against the raw ODE systems.
 """
 
 from galmag.errors import (
@@ -16,8 +16,6 @@ from galmag.errors import (
 from galmag.galilean import (
     ZERO,
     GVector3,
-    IsotropyClass,
-    classify,
     cross,
     is_isotropic,
     norm,
@@ -50,7 +48,8 @@ from galmag.magnetic import (
     solve_magnetic,
     solve_n_magnetic,
 )
-from galmag.oracle import IntegratorConfig, SampledCurve, grid_points, integrate, max_deviation
+from galmag.oracle import IntegratorConfig, SampledCurve, grid_points, integrate
+from galmag.oracle import max_deviation, verify
 
 __version__ = "0.1.0"
 
@@ -61,9 +60,7 @@ __all__ = [
     "IncompatibleIC",
     "NonFiniteState",
     "GVector3",
-    "IsotropyClass",
     "ZERO",
-    "classify",
     "is_isotropic",
     "scalar_product",
     "norm",
@@ -96,4 +93,5 @@ __all__ = [
     "grid_points",
     "integrate",
     "max_deviation",
+    "verify",
 ]

@@ -2,7 +2,9 @@
 
 Sample data goes to stdout (or --output); diagnostics go to stderr so
 pipelines stay clean.  Exit codes: 0 success, 1 verification failed,
-2 invalid input (with a one-line ``error: <reason>`` on stderr).
+2 invalid input or an output value that is not finite (with a one-line
+``error: <reason>`` on stderr).  A warning is one ``warning: <message>``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -13,38 +15,29 @@ import math
 import os
 import re
 import sys
+import warnings
 from contextlib import nullcontext
-from functools import partial
+from dataclasses import astuple
 
 import numpy as np
 
 from galmag import frenet
 from galmag.errors import GalmagError, IncompatibleIC, NonFiniteState, ZeroCurvature
-from galmag.galilean import norm
+# norm and integrate stay bound here: bench/test_bench.py checks that tracing restores them.
+from galmag.galilean import norm  # noqa: F401
 from galmag.magnetic import (
     KillingField,
     MagneticIC,
     NMagneticIC,
     helix_decomposition,
-    lorentz_residual,
-    magnetic_rhs,
-    n_magnetic_residual,
-    n_magnetic_rhs,
     solve_magnetic,
     solve_n_magnetic,
 )
-from galmag.oracle import (
-    IntegratorConfig,
-    SampledCurve,
-    grid_points,
-    integrate,
-    max_deviation,
-)
+from galmag.oracle import IntegratorConfig, grid_points, integrate, verify  # noqa: F401
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_RK4_STEP = 1e-3
 DEFAULT_SAMPLES = 201
-VERIFY_SAMPLES = 1000
 MAX_SAMPLES = 10**7  # output grids hold a dozen n-length columns at once
 _BLOCK = 1024  # rows per write: bounds the Python objects and text held at once
 
@@ -236,27 +229,21 @@ def _solve_curve(args):
     return solve_n_magnetic(field, ic)
 
 
-def _curve_tau(curve, s: float) -> float | None:
-    if curve.kappa0 == 0.0:
-        return None
-    return frenet.torsion(curve, s)
+def _summary(curve, s0: float):
+    """Case name, kappa, tau at s0 (None where kappa = 0) and HelixData or None."""
+    kappa = curve.kappa0
+    tau = None if kappa == 0.0 else frenet.torsion(curve, s0)
+    helix = helix_decomposition(curve) if curve.case.is_helix else None
+    return curve.case.value, kappa, tau, helix
 
 
-def _diagnostics(curve, s0: float) -> list[str]:
-    tau = _curve_tau(curve, s0)
-    lines = [
-        f"case: {curve.case.value}",
-        f"kappa: {_fmt(curve.kappa0)}",
-        f"tau: {'nan' if tau is None else _fmt(tau)}",
-    ]
-    if curve.case.is_helix:
-        helix = helix_decomposition(curve)
-        lines.append(f"helix radius: {_fmt(helix.r)}")
-        lines.append(
-            f"helix axis: y = {_fmt(helix.a)}*s + {_fmt(helix.b)}, "
-            f"z = {_fmt(helix.c)}*s + {_fmt(helix.d)}"
-        )
-    return lines
+def _check_finite(header: str, table: np.ndarray) -> None:
+    """Refuse a table holding nan or inf, naming its first such value and s (column 0)."""
+    bad = ~np.isfinite(table)
+    if bad.any():
+        row, col = divmod(int(bad.argmax()), table.shape[1])
+        value = f"{header.split(',')[col]} = {_fmt(table[row, col])}"
+        raise _CliError("nonfinite-output", f"{value} at s = {_fmt(table[row, 0])}")
 
 
 def _open_output(args):
@@ -268,19 +255,29 @@ def _open_output(args):
 def _cmd_solve(args) -> int:
     curve = _solve_curve(args)
     grid = _sample_grid(args)
-    for line in _diagnostics(curve, float(grid[0])):
-        print(line, file=sys.stderr)
     table = np.column_stack((grid, grid, curve.y.eval(grid), curve.z.eval(grid)))
+    _check_finite("s,x,y,z", table)
+    case, kappa, tau, helix = _summary(curve, float(grid[0]))
+    if args.format == "json":
+        head = (0.0 if tau is None else tau, *(astuple(helix) if helix else ()))
+        _check_finite("s,kappa,tau,r,a,b,c,d", np.array([[grid[0], kappa, *head]]))
+    tau_text = "nan" if tau is None else _fmt(tau)
+    lines = [f"case: {case}", f"kappa: {_fmt(kappa)}", f"tau: {tau_text}"]
+    if helix is not None:
+        lines.append(f"helix radius: {_fmt(helix.r)}")
+        lines.append(
+            f"helix axis: y = {_fmt(helix.a)}*s + {_fmt(helix.b)}, "
+            f"z = {_fmt(helix.c)}*s + {_fmt(helix.d)}"
+        )
+    print("\n".join(lines), file=sys.stderr)
     with _open_output(args) as out:
         if args.format == "csv":
             _write_csv(out, "s,x,y,z", table)
         else:
-            tau = _curve_tau(curve, float(grid[0]))
-            helix = None
-            if curve.case.is_helix:
-                h = helix_decomposition(curve)
-                helix = {"r": h.r, "line": {"a": h.a, "b": h.b, "c": h.c, "d": h.d}}
-            doc = {"case": curve.case.value, "kappa": curve.kappa0, "tau": tau, "helix": helix}
+            helix_doc = None if helix is None else {
+                "r": helix.r, "line": {"a": helix.a, "b": helix.b, "c": helix.c, "d": helix.d}
+            }
+            doc = {"case": case, "kappa": kappa, "tau": tau, "helix": helix_doc}
             _write_json(out, doc, _blocks(table))
     return 0
 
@@ -293,9 +290,11 @@ def _cmd_frenet(args) -> int:
         raise _CliError("zero-curvature", f"kappa vanishes at s = {_fmt(grid[flat.argmax()])}")
     f = frenet.frenet_frame(curve, grid)
     table = np.column_stack((grid, f.T, f.N, f.B, f.kappa, f.tau))
+    header = "s,t1,t2,t3,n1,n2,n3,b1,b2,b3,kappa,tau"
+    _check_finite(header, table)
     with _open_output(args) as out:
         if args.format == "csv":
-            _write_csv(out, "s,t1,t2,t3,n1,n2,n3,b1,b2,b3,kappa,tau", table)
+            _write_csv(out, header, table)
         else:
             frames = (
                 [{"s": r[0], "T": r[1:4], "N": r[4:7], "B": r[7:10], "kappa": r[10], "tau": r[11]}
@@ -318,84 +317,34 @@ def _verify_tolerance(args) -> float:
                 tol = float(raw)
             except ValueError:
                 raise _CliError("invalid-tolerance", f"GALMAG_TOL = {raw!r} is not a number")
-    if tol < 0.0:
+    if not tol >= 0.0:  # nan too: no metric could pass it
         raise _CliError("invalid-tolerance", "tolerance must be non-negative")
     return tol
-
-
-def _oracle_deviation(curve, rhs, initial, s_start, s_end, step) -> float:
-    """Largest position deviation of RK4 from the closed form on [s_start, s_end].
-
-    The initial data hold at s = 0, so RK4 starts there: forward up to
-    s_end, and for s_start < 0 backward, as the negated system in u = -s,
-    whose state at u is still (y, z, y', ...) of the curve at s = -u.
-    """
-    deviation = 0.0
-    if s_end > 0.0:
-        sampled = integrate(rhs, initial, IntegratorConfig(0.0, s_end, step))
-        if s_start > 0.0:
-            inside = sampled.grid >= s_start
-            sampled = SampledCurve(sampled.grid[inside], sampled.states[inside])
-        deviation = max_deviation(curve, sampled)
-    if s_start < 0.0:
-        try:
-            back = integrate(
-                lambda state: tuple([-k for k in rhs(state)]),
-                initial,
-                IntegratorConfig(0.0, -s_start, step),
-            )
-        except NonFiniteState as exc:
-            raise NonFiniteState(f"state became non-finite at s = {-exc.s}", -exc.s) from None
-        inside = back.grid >= -s_end
-        sampled = SampledCurve(-back.grid[inside], back.states[inside])
-        deviation = max(deviation, max_deviation(curve, sampled))
-    return deviation
 
 
 def _cmd_verify(args) -> int:
     tol = _verify_tolerance(args)
     curve = _solve_curve(args)
     s_start, s_end, _ = _parse_range(args)
-    ic = curve.ic
-    if args.mode == "magnetic":
-        rhs = partial(magnetic_rhs, curve.field)
-        initial = (ic.y0, ic.z0, ic.Y0, ic.Z0)
-        residual_at = partial(lorentz_residual, curve)
-    else:
-        rhs = partial(n_magnetic_rhs, curve.field, ic.kappa0)
-        initial = (ic.y0, ic.z0, ic.Y0, ic.Z0, ic.T0, ic.U0)
-        residual_at = partial(n_magnetic_residual, curve)
-
-    deviation = _oracle_deviation(curve, rhs, initial, s_start, s_end, args.step)
-
-    probes = np.linspace(s_start, s_end, VERIFY_SAMPLES)
-    residual = residual_at(probes).max()
-    kappas = frenet.curvature(curve, probes)
-    curvature_spread = kappas.max() - kappas.min()
-
-    metrics = {
-        "deviation": deviation,
-        "residual": residual,
-        "curvature_spread": curvature_spread,
-    }
-    lines = [
-        f"case = {curve.case.value}",
-        f"kappa = {_fmt(curve.kappa0)}",
-    ]
-    tau = _curve_tau(curve, s_start)
-    lines.append(f"tau = {'nan' if tau is None else _fmt(tau)}")
-    if curve.case.is_helix:
-        helix = helix_decomposition(curve)
-        offsets = norm(curve.eval(probes) - helix.point(probes))
-        metrics["helix_spread"] = np.abs(offsets - helix.r).max()
+    metrics = verify(curve, s_start, s_end, args.step)
+    case, kappa, tau, helix = _summary(curve, s_start)
+    tau_text = "nan" if tau is None else _fmt(tau)
+    lines = [f"case = {case}", f"kappa = {_fmt(kappa)}", f"tau = {tau_text}"]
+    if helix is not None:
         lines.append(f"helix_r = {_fmt(helix.r)}")
-    for key, value in metrics.items():
-        lines.append(f"{key} = {_fmt(value)}")
+    lines += [f"{key} = {_fmt(value)}" for key, value in metrics.items()]
     ok = all(value < tol for value in metrics.values())
-    lines.append(f"tolerance = {_fmt(tol)}")
-    lines.append(f"status = {'pass' if ok else 'fail'}")
+    lines += [f"tolerance = {_fmt(tol)}", f"status = {'pass' if ok else 'fail'}"]
     print("\n".join(lines))
     return 0 if ok else 1
+
+
+_REASONS = {IncompatibleIC: "incompatible-ic", ZeroCurvature: "zero-curvature",
+            NonFiniteState: "nonfinite-state"}
+
+
+def _show_warning(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -404,30 +353,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    command = {"solve": _cmd_solve, "verify": _cmd_verify, "frenet": _cmd_frenet}
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_frenet(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            warnings.showwarning = _show_warning
+            return command[args.command](args)
     except _CliError as exc:
         print(exc.line(), file=sys.stderr)
-        return 2
-    except IncompatibleIC as exc:
-        print(f"error: incompatible-ic ({exc})", file=sys.stderr)
-        return 2
-    except ZeroCurvature as exc:
-        print(f"error: zero-curvature ({exc})", file=sys.stderr)
-        return 2
-    except NonFiniteState as exc:
-        print(f"error: nonfinite-state ({exc})", file=sys.stderr)
-        return 2
-    except GalmagError as exc:
-        print(f"error: invalid-input ({exc})", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: invalid-input ({exc})", file=sys.stderr)
-        return 2
+    except (GalmagError, ValueError) as exc:
+        reason = _REASONS.get(type(exc), "invalid-input")
+        print(f"error: {reason} ({exc})", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -47,7 +47,9 @@ def torsion(curve, s):
     """tau(s) = det(gamma', gamma'', gamma''') / kappa(s)**2.
 
     The determinant reduces to y''*z''' - z''*y''' because the second and
-    third derivatives are isotropic.  Raises ZeroCurvature where kappa = 0.
+    third derivatives are isotropic; it is evaluated as (n2*z''' - n3*y''')/kappa
+    with (n2, n3) = (y'', z'')/kappa, as kappa**2 underflows below kappa ~ 1e-162.
+    Raises ZeroCurvature where kappa = 0.
     """
     return frenet_frame(curve, s).tau
 
@@ -62,9 +64,10 @@ def frenet_frame(curve, s) -> FrenetFrame:
         raise ZeroCurvature(f"Frenet frame undefined at s = {at}: curvature is zero")
     _, a2, a3 = _components(acc)
     _, j2, j3 = _components(curve.eval(s, 3))
-    n_vec = _vector(0.0, a2 / kappa, a3 / kappa)
-    b_vec = _vector(0.0, -a3 / kappa, a2 / kappa)
-    tau = (a2 * j3 - a3 * j2) / (kappa * kappa)
+    n2, n3 = a2 / kappa, a3 / kappa
+    n_vec = _vector(0.0, n2, n3)
+    b_vec = _vector(0.0, -n3, n2)
+    tau = (n2 * j3 - n3 * j2) / kappa
     # gamma' = (1, y', z') is the unit tangent itself.
     return FrenetFrame(T=curve.eval(s, 1), N=n_vec, B=b_vec, kappa=kappa, tau=tau)
 

@@ -18,25 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
     "GVector3",
-    "IsotropyClass",
     "ZERO",
-    "classify",
     "is_isotropic",
     "scalar_product",
     "norm",
     "cross",
 ]
-
-
-class IsotropyClass(Enum):
-    NON_ISOTROPIC = "non-isotropic"
-    ISOTROPIC = "isotropic"
 
 
 @dataclass(frozen=True)
@@ -92,14 +84,8 @@ def _hypot(a, b):
     return math.hypot(a, b)
 
 
-def classify(x: GVector3) -> IsotropyClass:
-    """Isotropy class of ``x``; the zero vector counts as isotropic."""
-    if x.x1 != 0.0:
-        return IsotropyClass.NON_ISOTROPIC
-    return IsotropyClass.ISOTROPIC
-
-
 def is_isotropic(x: GVector3) -> bool:
+    """True iff x1 == 0; the zero vector counts as isotropic."""
     return x.x1 == 0.0
 
 

@@ -279,14 +279,6 @@ def b_magnetic_constraint(field: KillingField, state) -> float:
 def _check_tiny_v1(v1: float) -> None:
     if v1 * v1 == 0.0:
         raise ValueError(f"|v1| = {abs(v1):.3e} is too small: v1**2 underflows to 0")
-    if abs(v1) < _TINY_V1:
-        warnings.warn(
-            f"|v1| = {abs(v1):.3e} is below {_TINY_V1:g}; the helix radius "
-            "scales like 1/v1**2 and the solution coefficients may overflow "
-            "or lose all precision",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def _helix_curve(case, field, ic, y: QuadSinusoid, z: QuadSinusoid) -> ClosedFormCurve:
@@ -294,6 +286,15 @@ def _helix_curve(case, field, ic, y: QuadSinusoid, z: QuadSinusoid) -> ClosedFor
     coeffs = (y.c0, y.c1, y.a_cos, y.a_sin, z.c0, z.c1, z.a_cos, z.a_sin)
     if not all(map(math.isfinite, coeffs)):
         raise ValueError(f"helix coefficients overflow for v1 = {field.v1!r}")
+    # only a curve that is returned warns, so a rejected one gets its error alone
+    if abs(field.v1) < _TINY_V1:
+        warnings.warn(
+            f"|v1| = {abs(field.v1):.3e} is below {_TINY_V1:g}; the helix radius "
+            "scales like 1/v1**2 and the solution coefficients may overflow "
+            "or lose all precision",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return ClosedFormCurve(case, field, ic, y, z)
 
 

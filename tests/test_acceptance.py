@@ -7,7 +7,6 @@ Randomized criteria use fixed seeds so the suite is deterministic.
 
 import math
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -20,14 +19,11 @@ from galmag.magnetic import (
     MagneticIC,
     NMagneticIC,
     helix_decomposition,
-    lorentz_residual,
-    magnetic_rhs,
     n_magnetic_residual,
-    n_magnetic_rhs,
     solve_magnetic,
     solve_n_magnetic,
 )
-from galmag.oracle import IntegratorConfig, integrate, max_deviation
+from galmag.oracle import verify
 
 
 def check(num, desc, ok, detail=""):
@@ -36,17 +32,6 @@ def check(num, desc, ok, detail=""):
         line += f" ({detail})"
     print(line)
     assert ok, line
-
-
-def rk4_magnetic(field, ic, s_end, step=1e-3):
-    cfg = IntegratorConfig(0.0, s_end, step=step)
-    return integrate(partial(magnetic_rhs, field), (ic.y0, ic.z0, ic.Y0, ic.Z0), cfg)
-
-
-def rk4_n_magnetic(field, ic, s_end, step=1e-3):
-    cfg = IntegratorConfig(0.0, s_end, step=step)
-    initial = (ic.y0, ic.z0, ic.Y0, ic.Z0, ic.T0, ic.U0)
-    return integrate(partial(n_magnetic_rhs, field, ic.kappa0), initial, cfg)
 
 
 HELIX_FIELD = KillingField(1, 0, 0)
@@ -60,8 +45,7 @@ def test_criterion_1_isotropic_family_reproduction():
     for coeffs in ((0, 0, 0), (0, 1, 1), (0, 2, 2)):
         field = KillingField(*coeffs)
         crv = solve_magnetic(field, ic)
-        sampled = rk4_magnetic(field, ic, math.pi)
-        worst = max(worst, max_deviation(crv, sampled))
+        worst = max(worst, verify(crv, 0.0, math.pi)["deviation"])
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
     check(
@@ -74,8 +58,7 @@ def test_criterion_1_isotropic_family_reproduction():
 
 def test_criterion_2_helix_case():
     crv = solve_magnetic(HELIX_FIELD, HELIX_IC)
-    sampled = rk4_magnetic(HELIX_FIELD, HELIX_IC, 2 * math.pi)
-    deviation = max_deviation(crv, sampled)
+    deviation = verify(crv, 0.0, 2 * math.pi)["deviation"]
 
     helix = helix_decomposition(crv)
     samples = np.linspace(0.0, 2 * math.pi, 1000)
@@ -106,8 +89,7 @@ def test_criterion_3_quadratic_trajectory_reproduction():
     field = KillingField(0, 0, 0)
     ic = NMagneticIC(y0=4, Y0=3, T0=1, z0=1, Z0=2, U0=1)
     crv = solve_n_magnetic(field, ic)
-    sampled = rk4_n_magnetic(field, ic, 5.0)
-    deviation = max_deviation(crv, sampled)
+    deviation = verify(crv, 0.0, 5.0)["deviation"]
     kappa_err = max(
         abs(curvature(crv, s) - math.sqrt(2)) for s in np.linspace(0, 5, 1000)
     )
@@ -139,8 +121,7 @@ def test_criterion_4_randomized_helix_suite():
         )
         s_end = 4 * math.pi / abs(v1)
         crv = solve_n_magnetic(field, ic)
-        sampled = rk4_n_magnetic(field, ic, s_end)
-        worst_dev = max(worst_dev, max_deviation(crv, sampled))
+        worst_dev = max(worst_dev, verify(crv, 0.0, s_end)["deviation"])
         probes = np.linspace(0.0, s_end, 1000)
         worst_kappa = max(
             worst_kappa, max(abs(curvature(crv, s) - ic.kappa0) for s in probes)
@@ -187,8 +168,7 @@ def test_criterion_5_constraint_enforcement():
             z0=rng.uniform(-2, 2), Z0=rng.uniform(-2, 2), U0=v3 * t,
         )
         crv = solve_n_magnetic(field, ic)
-        sampled = rk4_n_magnetic(field, ic, 2.0)
-        assert max_deviation(crv, sampled) < 1e-10
+        assert verify(crv, 0.0, 2.0)["deviation"] < 1e-10
         assert max(
             n_magnetic_residual(crv, s) for s in np.linspace(0, 2, 200)
         ) < 1e-9
@@ -204,8 +184,7 @@ def test_criterion_5_constraint_enforcement():
     for v2, v3, t0, u0 in boundary:
         assert v2 * u0 - v3 * t0 == 0.0
         crv = solve_n_magnetic(KillingField(0, v2, v3), NMagneticIC(0, 0, t0, 0, 0, u0))
-        sampled = rk4_n_magnetic(KillingField(0, v2, v3), crv.ic, 2.0)
-        assert max_deviation(crv, sampled) < 1e-10
+        assert verify(crv, 0.0, 2.0)["deviation"] < 1e-10
         accepted += 1
 
     ok = rejected == 100 and accepted == 24
@@ -275,8 +254,8 @@ def test_criterion_7_geodesic_degeneration():
 
 def test_criterion_8_rk4_convergence_order():
     crv = solve_magnetic(HELIX_FIELD, HELIX_IC)
-    dev_coarse = max_deviation(crv, rk4_magnetic(HELIX_FIELD, HELIX_IC, 2 * math.pi, 1e-3))
-    dev_fine = max_deviation(crv, rk4_magnetic(HELIX_FIELD, HELIX_IC, 2 * math.pi, 5e-4))
+    dev_coarse = verify(crv, 0.0, 2 * math.pi, 1e-3)["deviation"]
+    dev_fine = verify(crv, 0.0, 2 * math.pi, 5e-4)["deviation"]
     ratio = dev_coarse / dev_fine
     ok = 12.0 <= ratio <= 20.0
     check(

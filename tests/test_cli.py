@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from galmag.cli import main
 from galmag.frenet import frenet_frame
 from galmag.magnetic import KillingField, MagneticIC, solve_magnetic
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 GREEN_ARGS = [
     "--mode", "magnetic",
@@ -427,3 +433,90 @@ class TestFrenet:
         assert code == 2
         assert err.startswith("error: zero-curvature")
         assert "s = 1" in err
+
+
+class TestTinyCurvature:
+    """kappa = 1e-200: kappa**2 underflows, the torsion must not."""
+
+    ARGS = ["--mode=nmagnetic", "--v=1,0,0", "--ic=T0=1e-200", "--range=0:1"]
+
+    def test_verify(self, capsys):
+        code, out, err = run(capsys, ["verify", *self.ARGS])
+        assert code == 0, err
+        report = parse_report(out)
+        assert report["tau"] == "1"
+        assert report["status"] == "pass"
+
+    def test_solve(self, capsys):
+        code, _, err = run(capsys, ["solve", *self.ARGS, "--samples=3"])
+        assert code == 0, err
+        assert "tau: 1\n" in err
+
+    def test_frenet(self, capsys):
+        code, out, err = run(capsys, ["frenet", *self.ARGS, "--samples=5"])
+        assert code == 0, err
+        taus = [float(line.split(",")[-1]) for line in out.splitlines()[1:]]
+        assert taus == pytest.approx([1.0] * 5, rel=1e-15)
+
+
+class TestNonFiniteOutput:
+    """A value that would be written as nan or inf makes the command exit 2."""
+
+    @pytest.mark.parametrize("argv, where", [
+        (["solve", "--mode=nmagnetic", "--ic=z0=0.5,T0=1e-320,U0=3e-162,Y0=-1e308",
+          "--range=-3:0.001", "--samples=3"], "y = inf at s = -3"),
+        (["frenet", "--mode=nmagnetic", "--v=1e308,-1,1e-320", "--ic=T0=3e-162,U0=2",
+          "--range=0:0.001"], "at s = 0"),
+        (["solve", "--mode=nmagnetic", "--ic=T0=1.5e308,U0=1.5e308", "--range=0:1e-200",
+          "--samples=2", "--format=json"], "kappa = inf at s = 0"),
+    ])
+    def test_refused_before_writing(self, capsys, tmp_path, argv, where):
+        path = tmp_path / "out.txt"
+        code, out, err = run(capsys, [*argv, f"--output={path}"])
+        assert code == 2
+        assert out == ""
+        assert not path.exists()
+        error = err.splitlines()[-1]
+        assert error.startswith("error: nonfinite-output (") and where in error
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+
+
+class TestWarnings:
+    """Run as a process: stderr is what a user sees, outside pytest's warning capture."""
+
+    @staticmethod
+    def run_process(argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "galmag.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_rejected_solve_prints_its_error_alone(self):
+        proc = self.run_process(["solve", "--mode=magnetic", "--v=1e-160,0,1", "--ic=y0=1",
+                                 "--range=0:1", "--samples=3"])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: invalid-input (")
+        assert proc.stderr.count("\n") == 1
+
+    def test_tiny_v1_warning_is_one_line(self):
+        proc = self.run_process(["solve", "--mode=magnetic", "--v=1e-13,0.5,0.7",
+                                 "--range=0:1", "--samples=3"])
+        assert proc.returncode == 0
+        lines = proc.stderr.splitlines()
+        warnings = [line for line in lines if line.startswith("warning:")]
+        assert len(warnings) == 1 and "is below 1e-12" in warnings[0]
+        assert all(line.startswith(("warning:", "case:", "kappa:", "tau:", "helix "))
+                   for line in lines)
+
+
+@pytest.mark.parametrize("flag, reason", [
+    ("--step=inf", "invalid-input"),
+    ("--tolerance=nan", "invalid-tolerance"),
+])
+def test_verify_rejects_unusable_step_or_tolerance(capsys, flag, reason):
+    # an infinite step ran no RK4 step and passed with deviation 0
+    code, out, err = run(capsys, ["verify", *HELIX_ARGS, "--range=0:1", flag])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {reason} (")

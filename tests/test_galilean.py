@@ -7,8 +7,6 @@ from hypothesis import given, strategies as st
 from galmag.galilean import (
     ZERO,
     GVector3,
-    IsotropyClass,
-    classify,
     cross,
     is_isotropic,
     norm,
@@ -25,15 +23,17 @@ def gvectors(max_mag=10.0):
 
 
 class TestClassify:
+    """Isotropy classification through is_isotropic."""
+
     def test_nonisotropic(self):
-        assert classify(GVector3(1, 2, 3)) is IsotropyClass.NON_ISOTROPIC
+        assert is_isotropic(GVector3(1, 2, 3)) is False
 
     def test_isotropic(self):
-        assert classify(GVector3(0, 2, 3)) is IsotropyClass.ISOTROPIC
+        assert is_isotropic(GVector3(0, 2, 3)) is True
 
     def test_zero_vector_is_isotropic(self):
-        assert classify(GVector3(0, 0, 0)) is IsotropyClass.ISOTROPIC
-        assert is_isotropic(ZERO)
+        assert is_isotropic(GVector3(0, 0, 0)) is True
+        assert is_isotropic(ZERO) is True
 
     @given(
         st.builds(
@@ -47,9 +47,9 @@ class TestClassify:
     )
     def test_stable_under_nonzero_scaling(self, x, mag, sign):
         c = sign * mag
-        assert classify(c * x) is classify(x)
+        assert is_isotropic(c * x) is is_isotropic(x) is False
         x_iso = GVector3(0.0, x.x2, x.x3)
-        assert classify(c * x_iso) is classify(x_iso)
+        assert is_isotropic(c * x_iso) is is_isotropic(x_iso) is True
 
 
 class TestScalarProduct:

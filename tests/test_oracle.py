@@ -22,6 +22,7 @@ from galmag.oracle import (
     grid_points,
     integrate,
     max_deviation,
+    verify,
 )
 
 
@@ -99,6 +100,9 @@ class TestIntegratorConfig:
             IntegratorConfig(0.0, 1.0, step=0.0)
         with pytest.raises(ValueError):
             IntegratorConfig(0.0, 1.0, step=-1e-3)
+        for step in (math.inf, math.nan):  # an infinite step gave a grid of nan
+            with pytest.raises(ValueError):
+                IntegratorConfig(0.0, 1.0, step=step)
 
     def test_rejects_degenerate_window(self):
         with pytest.raises(ValueError):
@@ -309,3 +313,32 @@ class TestMaxDeviation:
         sampled = SampledCurve(grid=grid, states=np.zeros((3, 5)))
         with pytest.raises(ValueError):
             max_deviation(crv, sampled)
+
+
+class TestVerify:
+    def test_deviation_equals_integrating_the_raw_system(self):
+        mag_field, mag_ic = KillingField(1.5, -0.3, 0.8), MagneticIC(1, 2, -1, 0.5)
+        nmag_field, nmag_ic = KillingField(-2, 0.4, 1), NMagneticIC(0.5, -1, 0.8, 2, 0.3, -0.6)
+        cases = [
+            (solve_magnetic(mag_field, mag_ic), partial(magnetic_rhs, mag_field),
+             magnetic_initial(mag_ic)),
+            (solve_n_magnetic(nmag_field, nmag_ic),
+             partial(n_magnetic_rhs, nmag_field, nmag_ic.kappa0), nmagnetic_initial(nmag_ic)),
+        ]
+        for crv, rhs, initial in cases:
+            cfg = IntegratorConfig(0.0, 3.0, 2e-3)
+            expected = max_deviation(crv, integrate(rhs, initial, cfg))
+            assert verify(crv, 0.0, 3.0, 2e-3)["deviation"] == expected
+
+    def test_metrics_in_report_order(self):
+        helix = solve_magnetic(KillingField(1, 0, 0), MagneticIC(0, 0, 0, 1))
+        parabola = solve_magnetic(KillingField(0, 1, 1), MagneticIC(1, 5, 4, 3))
+        assert list(verify(helix, -1.0, 2.0)) == [
+            "deviation", "residual", "curvature_spread", "helix_spread"]
+        assert list(verify(parabola, -1.0, 2.0)) == ["deviation", "residual", "curvature_spread"]
+        assert all(value < 1e-9 for value in verify(helix, -1.0, 2.0).values())
+
+    def test_rejects_empty_window(self):
+        crv = solve_magnetic(KillingField(1, 0, 0), MagneticIC(0, 0, 0, 1))
+        with pytest.raises(ValueError):
+            verify(crv, 1.0, 1.0)
