@@ -373,11 +373,14 @@ def solve_n_magnetic(
     IncompatibleIC
         If v1 = 0 and the compatibility constraint is violated.
     ValueError
-        If v1**2 underflows to 0 or a helix coefficient overflows.
+        If kappa0 overflows, v1**2 underflows to 0 or a helix coefficient
+        overflows.
     """
     v1, v2, v3 = field.v1, field.v2, field.v3
     if ic.T0 == 0.0 and ic.U0 == 0.0:
         raise ZeroCurvature("T0 = U0 = 0: constant curvature would vanish")
+    if not math.isfinite(ic.kappa0):
+        raise ValueError(f"kappa0 = hypot(T0, U0) overflows for T0 = {ic.T0!r}, U0 = {ic.U0!r}")
     if v1 != 0.0:
         _check_tiny_v1(v1)
         v1sq = v1 * v1

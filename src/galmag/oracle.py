@@ -13,10 +13,12 @@ linear with constant coefficients, so adaptive stepping would add code
 without value, and a fixed step makes the O(step**4) convergence check
 meaningful.
 
-The step runs as one loop generated per state dimension and unrolled over
-the components.  It performs the textbook loop's floating-point operations
-in the textbook order, so its states equal that loop's bit for bit, and it
-calls the right-hand side exactly 4 times per step.
+The right-hand side is traced once, on symbolic state values, so it may
+only do arithmetic (+ - * / **, unary -) on the state and int or float
+constants.  The step runs as one loop generated per traced right-hand side,
+with its operations written inline and unrolled over the components.  It
+performs the textbook loop's floating-point operations in the textbook
+order, so its states equal that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -88,36 +90,89 @@ def grid_points(cfg: IntegratorConfig) -> np.ndarray:
     return grid
 
 
-def _tuple_src(items) -> str:
-    return "(" + "".join(f"{item}, " for item in items) + ")"
+_CONTRACT = ("rhs must be arithmetic (+ - * / **, unary -) on the state values and int "
+             "or float constants only")
+# bounds each expression's nesting below the parser's limit (200) and its length
+_MAX_OPS = 150
 
 
-@lru_cache(maxsize=None)
-def _rk4_kernel(m: int):
-    """RK4 loop over a grid for an m-dim state, unrolled over the components.
+def _const(consts: list, value) -> str:
+    if not isinstance(value, (int, float)):
+        raise TypeError(f"a {type(value).__name__} is not an int or float constant")
+    consts.append(value)
+    return f"q{len(consts) - 1}"
 
-    Each component takes exactly the operations of the textbook loop
+
+def _operator(template: str):
+    def op(self, other):
+        if isinstance(other, _Sym):
+            return self._node(template.format(a=self.src, b=other.src), self.ops + other.ops)
+        return self._node(template.format(a=self.src, b=_const(self.consts, other)), self.ops)
+    return op
+
+
+class _Sym:
+    """A state value under tracing: the source of the arithmetic done on it.
+
+    State component j reads ``{x[j]}`` (named per RK4 stage) and the i-th
+    constant met reads ``qi``.  Each operation is parenthesised, so the
+    source repeats the RHS's own operations in the RHS's own order.
+    """
+
+    __slots__ = ("src", "ops", "consts")
+
+    def __init__(self, src: str, ops: int, consts: list):
+        self.src, self.ops, self.consts = src, ops, consts
+
+    def _node(self, src: str, ops: int) -> _Sym:
+        if ops >= _MAX_OPS:
+            raise TypeError(f"an expression of over {_MAX_OPS} operations")
+        return _Sym(src, ops + 1, self.consts)
+
+    def _untraceable(self, *args):
+        raise TypeError("a state value was compared or tested for truth")
+
+    __add__, __radd__ = _operator("({a} + {b})"), _operator("({b} + {a})")
+    __sub__, __rsub__ = _operator("({a} - {b})"), _operator("({b} - {a})")
+    __mul__, __rmul__ = _operator("({a} * {b})"), _operator("({b} * {a})")
+    __truediv__, __rtruediv__ = _operator("({a} / {b})"), _operator("({b} / {a})")
+    __pow__, __rpow__ = _operator("({a} ** {b})"), _operator("({b} ** {a})")
+    __bool__ = __eq__ = _untraceable
+
+    def __neg__(self) -> _Sym:
+        return self._node(f"(-{self.src})", self.ops)
+
+
+@lru_cache(maxsize=256)
+def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
+    """RK4 loop over a grid with the traced RHS expressions written inline.
+
+    Each component takes the textbook loop's operations in their order
 
         k2 = rhs(st + half*k1),  k3 = rhs(st + half*k2),  k4 = rhs(st + h*k3)
         inc = h*sixth*(k1 + 2*(k2 + k3) + k4) - comp
         t = st + inc;  comp = (t - st) - inc;  st = t
 
-    in the same order, so the states match that loop bit for bit; only the
-    per-component Python loops and the tuple builders are gone.  The source
-    is generated once per dimension, as dataclasses generates __init__.
+    so the states match that loop bit for bit; only the RHS calls, the stage
+    tuples and the stage components no expression reads are gone.  The
+    constants are bound to q0, q1, ... from the list `consts`, so no value
+    passes through source text.
     """
-    x = [f"x{j}" for j in range(m)]
+    m = len(exprs)
+    x, p = [f"x{j}" for j in range(m)], [f"p{j}" for j in range(m)]
+    read = [j for j in range(m) if any(f"{{x[{j}]}}" in e for e in exprs)]
 
-    def unpack(letter):
-        return "[" + ", ".join(f"{letter}{j}" for j in range(m)) + "]"
+    def stage(letter, names):
+        return [f"        {letter}{j} = {e.format(x=names)}" for j, e in enumerate(exprs)]
 
-    def stage(scale, letter):
-        return _tuple_src(f"x{j} + {scale} * {letter}{j}" for j in range(m))
+    def point(scale, letter):
+        return [f"        p{j} = x{j} + {scale} * {letter}{j}" for j in read]
 
     lines = [
-        "def run(rhs, grid, st):",
+        "def run(grid, st, consts):",
         "    isfinite = math.isfinite",
-        f"    {unpack('x')} = st",
+        f"    [{', '.join(f'q{i}' for i in range(n_consts))}] = consts",
+        f"    [{', '.join(x)}] = st",
         *(f"    e{j} = 0.0" for j in range(m)),
         "    sixth = 1.0 / 6.0",
         "    states = [st]",
@@ -128,10 +183,8 @@ def _rk4_kernel(m: int):
         "        h = s_next - s_prev",
         "        half = 0.5 * h",
         "        h6 = h * sixth",
-        f"        {unpack('a')} = rhs(st)",
-        f"        {unpack('b')} = rhs({stage('half', 'a')})",
-        f"        {unpack('c')} = rhs({stage('half', 'b')})",
-        f"        {unpack('d')} = rhs({stage('h', 'c')})",
+        *stage("a", x), *point("half", "a"), *stage("b", p), *point("half", "b"),
+        *stage("c", p), *point("h", "c"), *stage("d", p),
     ]
     for j in range(m):
         lines += [
@@ -141,7 +194,7 @@ def _rk4_kernel(m: int):
             f"        x{j} = t{j}",
         ]
     lines += [
-        f"        st = {_tuple_src(x)}",
+        f"        st = ({''.join(f'{name}, ' for name in x)})",
         # a finite sum proves every component finite; otherwise look closer
         f"        if not isfinite({' + '.join(x) or '0.0'}) and not all(map(isfinite, st)):",
         "            raise NonFiniteState(f'state became non-finite at s = {s_next}', s_next)",
@@ -164,10 +217,11 @@ def integrate(
     Parameters
     ----------
     rhs : callable
-        State derivative function; called as rhs(state) with a tuple and
-        expected to return a sequence of the same length (the systems here
-        are autonomous).  It is called once to check that length, then
-        exactly 4 times per step.
+        Derivative of an autonomous system: rhs(state) takes a tuple and
+        returns a sequence of the same length.  It is called once, on
+        symbolic state values, and its operations then run inline; so it
+        may only do arithmetic (+ - * / **, unary -) on the state and int
+        or float constants, and branch on anything but the state.
     initial : sequence of float
         State at cfg.s_start.
     cfg : IntegratorConfig
@@ -180,21 +234,28 @@ def integrate(
 
     Raises
     ------
+    TypeError
+        If rhs does anything else with a state value (compares it, calls
+        math.sin on it, ...).
     NonFiniteState
         If the state leaves the finite range during integration.
     """
     state = tuple([float(w) for w in initial])
     m = len(state)
-    deriv = rhs(state)
-    if len(deriv) != m:
-        raise ValueError(f"rhs returns {len(deriv)} components for a {m}-dim state")
-
+    consts: list = []
+    try:
+        deriv = rhs(tuple(_Sym(f"{{x[{j}]}}", 0, consts) for j in range(m)))
+        if len(deriv) != m:
+            raise ValueError(f"rhs returns {len(deriv)} components for a {m}-dim state")
+        exprs = tuple(k.src if isinstance(k, _Sym) else _const(consts, k) for k in deriv)
+    except TypeError as exc:
+        raise TypeError(f"{_CONTRACT} ({exc})") from None
     grid = grid_points(cfg)
     # Kahan-compensated state updates: over ~1e5 steps the plain additions
     # accumulate enough rounding to mask the O(step**4) truncation error
     # that the convergence check measures.  The step h is taken from the
     # grid at every step: the spacing differs in the last bits.
-    states = _rk4_kernel(m)(rhs, grid.tolist(), state)
+    states = _rk4_kernel(exprs, len(consts))(grid.tolist(), state, consts)
     flat = np.fromiter(chain.from_iterable(states), float, len(states) * m)
     return SampledCurve(grid=grid, states=flat.reshape(len(states), m))
 
@@ -219,7 +280,7 @@ def max_deviation(
     -------
     float
         Maximum absolute difference over all grid points and compared
-        components.
+        components; nan if any compared value is nan.
     """
     if components not in ("position", "full"):
         raise ValueError(f"components must be 'position' or 'full', got {components!r}")
@@ -227,12 +288,13 @@ def max_deviation(
     if dim not in (4, 6):
         raise ValueError(f"state dimension must be 4 or 6, got {dim}")
     orders = (0,) if components == "position" else (0, 1) if dim == 4 else (0, 1, 2)
-    worst = 0.0
-    for order in orders:
-        exact = closed.eval(sampled.grid, order)[:, 1:]
-        dev = np.abs(sampled.states[:, 2 * order:2 * order + 2] - exact).max(axis=0)
-        worst = max(worst, *dev.tolist())
-    return worst
+    devs = [
+        np.abs(sampled.states[:, 2 * order:2 * order + 2]
+               - closed.eval(sampled.grid, order)[:, 1:]).max()
+        for order in orders
+    ]
+    # numpy's max, unlike Python's, passes on a nan in any position
+    return float(np.max(devs))
 
 
 def verify(
@@ -280,7 +342,7 @@ def verify(
             raise NonFiniteState(f"state became non-finite at s = {-exc.s}", -exc.s) from None
         inside = back.grid >= -s_end
         sampled = SampledCurve(-back.grid[inside], back.states[inside])
-        deviation = max(deviation, max_deviation(curve, sampled))
+        deviation = float(np.maximum(deviation, max_deviation(curve, sampled)))
 
     probes = np.linspace(s_start, s_end, VERIFY_SAMPLES)
     kappas = curvature(curve, probes)

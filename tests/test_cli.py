@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import galmag.oracle as oracle
 from galmag.cli import main
 from galmag.frenet import frenet_frame
 from galmag.magnetic import KillingField, MagneticIC, solve_magnetic
@@ -249,6 +250,16 @@ class TestSolveErrors:
         assert err.startswith("error: invalid-input (")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_overflowing_kappa0_rejected(self, capsys, command):
+        # solve printed kappa: inf with exit 0
+        argv = [command, "--mode=nmagnetic", "--ic=T0=1.5e308,U0=1.5e308", "--range=0:1e-200"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid-input (kappa0")
+        assert err.count("\n") == 1
+
     def test_missing_subcommand(self, capsys):
         code, _, err = run(capsys, [])
         assert code == 2
@@ -467,7 +478,8 @@ class TestNonFiniteOutput:
           "--range=-3:0.001", "--samples=3"], "y = inf at s = -3"),
         (["frenet", "--mode=nmagnetic", "--v=1e308,-1,1e-320", "--ic=T0=3e-162,U0=2",
           "--range=0:0.001"], "at s = 0"),
-        (["solve", "--mode=nmagnetic", "--ic=T0=1.5e308,U0=1.5e308", "--range=0:1e-200",
+        # the acceleration (v3, -v2) of a parabola is finite, its norm is not
+        (["solve", "--mode=magnetic", "--v=0,1.5e308,1.5e308", "--range=0:1e-200",
           "--samples=2", "--format=json"], "kappa = inf at s = 0"),
     ])
     def test_refused_before_writing(self, capsys, tmp_path, argv, where):
@@ -520,3 +532,24 @@ def test_verify_rejects_unusable_step_or_tolerance(capsys, flag, reason):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {reason} (")
+
+
+@pytest.mark.parametrize("nan_runs", [{0}, {1}, {0, 1}])
+def test_verify_fails_on_a_nan_deviation(capsys, monkeypatch, nan_runs):
+    # Python's max kept an earlier deviation over a later nan
+    exact, runs = oracle.integrate, []
+
+    def nan_last_row(*args):
+        sampled = exact(*args)
+        if len(runs) in nan_runs:  # 0: forward to 1, 1: backward to -1
+            sampled.states[-1] = math.nan
+        runs.append(sampled)
+        return sampled
+
+    monkeypatch.setattr(oracle, "integrate", nan_last_row)
+    code, out, _ = run(capsys, ["verify", *HELIX_ARGS, "--range=-1:1"])
+    report = parse_report(out)
+    assert len(runs) == 2
+    assert report["deviation"] == "nan"
+    assert report["status"] == "fail"
+    assert code == 1

@@ -340,6 +340,13 @@ class TestSolveNMagnetic:
         with pytest.warns(RuntimeWarning, match="helix radius"):
             solve_n_magnetic(KillingField(5e-13, 0, 0), NMagneticIC(0, 0, 1, 0, 0, 0))
 
+    @pytest.mark.parametrize("v1", [0.0, 1.0])
+    def test_overflowing_kappa0_rejected(self, v1):
+        # each acceleration is finite, their hypot is not
+        ic = NMagneticIC(0, 0, 1.5e308, 0, 0, 1.5e308)
+        with pytest.raises(ValueError, match="kappa0"):
+            solve_n_magnetic(KillingField(v1, 0, 0), ic)
+
 
 class TestClosedFormCurve:
     def test_derivative_orders_validated(self):

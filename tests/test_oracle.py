@@ -1,5 +1,5 @@
 import math
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -84,6 +84,19 @@ def short_last_step_windows(draw):
     n = draw(st.integers(1, 120))
     step = length / (n + draw(st.floats(0.1, 0.9)))
     return IntegratorConfig(s_start, s_start + length, step)
+
+
+@st.composite
+def raw_systems(draw):
+    # the package's own right-hand sides, over isotropic and helix fields
+    coeff = st.floats(-2.0, 2.0)
+    v1 = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1)))
+    field = KillingField(v1, draw(coeff), draw(coeff))
+    initial = [draw(coeff) for _ in range(4)]
+    if draw(st.booleans()):
+        return partial(magnetic_rhs, field), initial
+    accel = [draw(st.floats(0.1, 2.0)), draw(coeff)]
+    return partial(n_magnetic_rhs, field, math.hypot(*accel)), initial + accel
 
 
 def magnetic_initial(ic):
@@ -245,7 +258,7 @@ class TestIntegrate:
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"s = {got.value.s}")
 
-    def test_four_rhs_calls_per_step(self):
+    def test_rhs_called_once(self):
         calls = []
 
         def rhs(state):
@@ -253,7 +266,52 @@ class TestIntegrate:
             return (1.0, -state[0])
 
         sampled = integrate(rhs, (0.0, 1.0), IntegratorConfig(0.0, 1.0, step=0.1))
-        assert len(calls) == 1 + 4 * (len(sampled.grid) - 1)
+        assert len(sampled.grid) == 11
+        assert len(calls) == 1
+
+    @given(raw_systems(), short_last_step_windows())
+    def test_package_systems_bit_identical(self, system, cfg):
+        rhs, initial = system
+        for f in (rhs, lambda state: tuple([-k for k in rhs(state)])):  # verify's backward form
+            got = integrate(f, initial, cfg)
+            want = _reference_integrate(f, initial, cfg)
+            assert np.array_equal(got.grid, want.grid)
+            assert np.array_equal(got.states, want.states)
+
+    def test_division_powers_and_reflected_operators(self):
+        def rhs(state):
+            u, v, w, z, zero = state
+            return (
+                1 / (2 + u * u),
+                2 ** -(u ** 2) - v / 4,
+                3,
+                1.0 - np.float64(1.5) * w ** 0.5,
+                -0.0,
+            )
+
+        initial = (0.3, -1.0, 2.0, 0.5, -0.0)
+        cfg = IntegratorConfig(0.0, 2.0, step=0.01)
+        got = integrate(rhs, initial, cfg)
+        want = _reference_integrate(rhs, initial, cfg)
+        # bytes, not ==: the last component stays -0.0 only if its constant does
+        assert got.states.tobytes() == want.states.tobytes()
+        assert math.copysign(1.0, got.states[-1, 4]) == -1.0
+
+    @pytest.mark.parametrize("rhs", [
+        lambda st: (st[0] if st[0] > 0.0 else -st[0],),
+        lambda st: (1.0 if st[0] == 0.0 else 0.0,),
+        lambda st: (1.0 if st[0] else 0.0,),
+        lambda st: (math.sin(st[0]),),
+        lambda st: (np.sin(st[0]),),
+        lambda st: (abs(st[0]),),
+        lambda st: ("1.0",),
+        # too large to inline: nested too deep, or 2**60 terms once written out
+        lambda st: (sum([st[0]] * 200, 1.0),),
+        lambda st: (reduce(lambda t, _: t + t, range(60), st[0]),),
+    ], ids=["compare", "equal", "truth", "math", "numpy", "abs", "str", "deep", "doubled"])
+    def test_untraceable_rhs_rejected(self, rhs):
+        with pytest.raises(TypeError, match=r"rhs must be arithmetic \(\+ - \* / \*\*"):
+            integrate(rhs, (1.0,), IntegratorConfig(0.0, 1.0, step=0.1))
 
     def test_rhs_arity_checked(self):
         cfg = IntegratorConfig(0.0, 1.0, step=0.1)
@@ -306,6 +364,16 @@ class TestMaxDeviation:
         sampled = self._exact_samples(crv, grid, dim=4)
         with pytest.raises(ValueError):
             max_deviation(crv, sampled, components="velocity")
+
+    def test_nan_gives_nan(self):
+        # Python's max(0.0, 1e-3, nan) is 1e-3
+        crv = solve_magnetic(KillingField(1, 0.3, -0.2), MagneticIC(1, 2, 3, 4))
+        sampled = self._exact_samples(crv, np.linspace(0, 5, 64), dim=4)
+        sampled.states[-1, 2:] = math.nan  # velocities only
+        assert max_deviation(crv, sampled) == 0.0
+        assert math.isnan(max_deviation(crv, sampled, components="full"))
+        sampled.states[-1] = math.nan
+        assert math.isnan(max_deviation(crv, sampled))
 
     def test_rejects_bad_dimension(self):
         crv = solve_magnetic(KillingField(0, 1, 1), MagneticIC(0, 0, 0, 0))
