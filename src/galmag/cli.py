@@ -10,6 +10,7 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -95,6 +96,7 @@ def _write_json(out, doc: dict, blocks) -> None:
     out.write("]}\n")
 
 
+@functools.cache  # one parser per process: nothing may mutate it after this returns
 def _build_parser() -> _Parser:
     parser = _Parser(prog="galmag", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -258,9 +260,8 @@ def _cmd_solve(args) -> int:
     table = np.column_stack((grid, grid, curve.y.eval(grid), curve.z.eval(grid)))
     _check_finite("s,x,y,z", table)
     case, kappa, tau, helix = _summary(curve, float(grid[0]))
-    if args.format == "json":
-        head = (0.0 if tau is None else tau, *(astuple(helix) if helix else ()))
-        _check_finite("s,kappa,tau,r,a,b,c,d", np.array([[grid[0], kappa, *head]]))
+    head = (0.0 if tau is None else tau, *(astuple(helix) if helix else ()))
+    _check_finite("s,kappa,tau,r,a,b,c,d", np.array([[grid[0], kappa, *head]]))
     tau_text = "nan" if tau is None else _fmt(tau)
     lines = [f"case: {case}", f"kappa: {_fmt(kappa)}", f"tau: {tau_text}"]
     if helix is not None:
@@ -348,9 +349,8 @@ def _show_warning(message, *_):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     command = {"solve": _cmd_solve, "verify": _cmd_verify, "frenet": _cmd_frenet}

@@ -481,6 +481,11 @@ class TestNonFiniteOutput:
         # the acceleration (v3, -v2) of a parabola is finite, its norm is not
         (["solve", "--mode=magnetic", "--v=0,1.5e308,1.5e308", "--range=0:1e-200",
           "--samples=2", "--format=json"], "kappa = inf at s = 0"),
+        # the CSV summary on stderr is checked too
+        (["solve", "--mode=magnetic", "--v=0,1.5e308,1.5e308", "--range=0:1e-200",
+          "--samples=2"], "kappa = inf at s = 0"),
+        (["solve", "--mode=magnetic", "--v=1,0,0", "--ic=Y0=1.5e308,Z0=1.5e308",
+          "--range=0:1e-200", "--samples=2"], "kappa = inf at s = 0"),
     ])
     def test_refused_before_writing(self, capsys, tmp_path, argv, where):
         path = tmp_path / "out.txt"
@@ -553,3 +558,31 @@ def test_verify_fails_on_a_nan_deviation(capsys, monkeypatch, nan_runs):
     assert report["deviation"] == "nan"
     assert report["status"] == "fail"
     assert code == 1
+
+
+class TestRepeatedCalls:
+    """main keeps no state between calls, though the parser is built once per process."""
+
+    # each later command would see a leaked --format, --tolerance, --samples or error
+    ARGVS = [
+        ["solve", "--mode=bogus", "--range=0:1"],
+        ["solve", *GREEN_ARGS, "--range=0:1", "--samples=3"],
+        ["solve", *GREEN_ARGS, "--range=0:1", "--samples=4", "--format=json"],
+        ["verify", *HELIX_ARGS, "--range=0:1"],
+        ["verify", *HELIX_ARGS, "--range=0:1", "--tolerance=1e-20"],
+        ["frenet", *HELIX_ARGS, "--range=0:1:0.5"],
+        ["verify", "--mode", "magnetic", "--v", "-1,0,0", "--ic", "Z0=1", "--range", "0:1"],
+        ["verify", "--help"],
+    ]
+
+    def test_repeats_equal_first_runs_and_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+        first = [run(capsys, argv) for argv in self.ARGVS]
+        assert [run(capsys, argv) for argv in self.ARGVS] == first
+        assert [code for code, _, _ in first] == [2, 0, 0, 0, 1, 0, 0, 0]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        for argv, result in zip(self.ARGVS, first):
+            proc = subprocess.run([sys.executable, "-m", "galmag.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert (proc.returncode, proc.stdout, proc.stderr) == result, argv

@@ -6,8 +6,9 @@ from ``verify`` (verification failed), or exit 2 with exactly one
 ``main`` and every warning is one ``warning:`` line.
 
 The values mix ordinary numbers with the magnitudes where the arithmetic
-breaks: 1e308 overflows when scaled, 1e-200 and 3e-162 underflow when
-squared, 1e-320 is subnormal and 1e-13 is below the tiny-v1 threshold.
+breaks: 1e308 overflows when scaled, 1.5e308 already in a norm, 1e-200
+and 3e-162 underflow when squared, 1e-320 is subnormal and 1e-13 is below
+the tiny-v1 threshold.
 Windows stay small (or far beyond the step guard) and ``--samples`` stays
 at most 1000, so every example runs in milliseconds.
 """
@@ -20,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from galmag.cli import main
 
-NUMBERS = ["0", "1", "-1", "0.5", "-2", "1e308", "-1e308", "1e-200", "-3e-162",
-           "3e-162", "1e-320", "1e-13"]
+NUMBERS = ["0", "1", "-1", "0.5", "-2", "1e308", "-1e308", "1.5e308", "1e-200",
+           "-3e-162", "3e-162", "1e-320", "1e-13"]
 BAD = ["nan", "inf", "-inf", "x", ""]
 # an input is malformed about one time in ten
 values = st.sampled_from(NUMBERS * 4 + BAD)
@@ -83,3 +84,8 @@ def test_every_input_ends_in_finite_output_or_one_error_line(argv):
         assert not any(line.startswith("error:") for line in lines), err
     if code == 0 and argv[0] != "verify":
         assert not re.search("nan|inf", out, re.IGNORECASE), out[:500]
+    if code == 0:
+        # the stderr summary is output too; only a zero curvature leaves tau undefined
+        for previous, line in zip([""] + lines, lines):
+            assert "inf" not in line, err
+            assert "nan" not in line or (line, previous) == ("tau: nan", "kappa: 0"), err
