@@ -42,6 +42,10 @@ DEFAULT_SAMPLES = 201
 MAX_SAMPLES = 10**7  # output grids hold a dozen n-length columns at once
 _BLOCK = 1024  # rows per write: bounds the Python objects and text held at once
 
+# a frenet JSON sample, one %r per column of s,t1,t2,t3,n1,n2,n3,b1,b2,b3,kappa,tau
+_FRAME = ('{"s": %r, "T": [%r, %r, %r], "N": [%r, %r, %r], "B": [%r, %r, %r], '
+          '"kappa": %r, "tau": %r}')
+
 _MAGNETIC_KEYS = ("y0", "Y0", "z0", "Z0")
 _NMAGNETIC_KEYS = ("y0", "Y0", "T0", "z0", "Z0", "U0")
 
@@ -74,25 +78,54 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _blocks(table: np.ndarray):
+def _write_rows(out, table: np.ndarray, row: str, fmt: str, sep: str) -> None:
+    """Write each row of table as the template row, whose i-th fmt formats column i.
+
+    Rows are joined by sep.  In each block, one % call formats each distinct
+    column: a column constant in the block becomes literal text of the row,
+    and one equal to an earlier column reuses its strings (equal bits, so
+    0.0 and -0.0 differ).  One join then builds the block's text at its exact
+    size: one % call for the whole block grows a buffer to a varying final
+    size, and over repeated calls its freed fragments raised peak memory.
+    """
+    parts = row.split(fmt)
     for start in range(0, len(table), _BLOCK):
-        yield table[start:start + _BLOCK].tolist()
+        block = table[start:start + _BLOCK]
+        n, bits = len(block), block.view(np.int64)
+        const = (bits == bits[0]).all(axis=0)
+        cols, lits, seen = [], [parts[0]], {}
+        for j, part in enumerate(parts[1:]):
+            if const[j]:
+                lits[-1] += fmt % block[0, j].item() + part  # a Python float: %r of np.float64 differs
+                continue
+            key = bits[:, j].tobytes()
+            if key not in seen:
+                seen[key] = ("\n".join([fmt] * n) % tuple(block[:, j].tolist())).split("\n")
+            cols.append(seen[key])
+            lits.append(part)
+        stride = 2 * len(cols) + 1  # a row: literal, column, literal, ..., column, literal
+        pieces = [None] * (n * stride)
+        pieces[0::stride] = [lits[0]] * n
+        for i, col in enumerate(cols):
+            pieces[2 * i + 1::stride] = col
+            pieces[2 * i + 2::stride] = [lits[i + 1]] * n
+        pieces[stride - 1::stride] = [lits[-1] + sep] * (n - 1) + [lits[-1]]
+        if start:
+            out.write(sep)
+        out.write("".join(pieces))
 
 
 def _write_csv(out, header: str, table: np.ndarray) -> None:
     # "%.17g" formats exactly like _fmt and round-trips every double.
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     out.write(header + "\n")
-    for rows in _blocks(table):
-        out.write("".join([line % tuple(row) for row in rows]))
+    _write_rows(out, table, ",".join(["%.17g"] * table.shape[1]) + "\n", "%.17g", "")
 
 
-def _write_json(out, doc: dict, blocks) -> None:
-    # The bytes of json.dump(doc | {"samples": rows}), but encoded by the C
-    # encoder of json.dumps (json.dump runs the Python one) a block at a time.
+def _write_json(out, doc: dict, table: np.ndarray, row: str) -> None:
+    # The bytes of json.dump(doc | {"samples": rows}): json writes a finite
+    # float as float.__repr__, which is what %r gives.
     out.write(json.dumps({**doc, "samples": []})[:-2])
-    for i, block in enumerate(blocks):
-        out.write((", " if i else "") + json.dumps(block)[1:-1])
+    _write_rows(out, table, row, "%r", ", ")
     out.write("]}\n")
 
 
@@ -279,7 +312,7 @@ def _cmd_solve(args) -> int:
                 "r": helix.r, "line": {"a": helix.a, "b": helix.b, "c": helix.c, "d": helix.d}
             }
             doc = {"case": case, "kappa": kappa, "tau": tau, "helix": helix_doc}
-            _write_json(out, doc, _blocks(table))
+            _write_json(out, doc, table, "[%r, %r, %r, %r]")
     return 0
 
 
@@ -297,12 +330,7 @@ def _cmd_frenet(args) -> int:
         if args.format == "csv":
             _write_csv(out, header, table)
         else:
-            frames = (
-                [{"s": r[0], "T": r[1:4], "N": r[4:7], "B": r[7:10], "kappa": r[10], "tau": r[11]}
-                 for r in rows]
-                for rows in _blocks(table)
-            )
-            _write_json(out, {"case": curve.case.value}, frames)
+            _write_json(out, {"case": curve.case.value}, table, _FRAME)
     return 0
 
 
@@ -355,7 +383,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     command = {"solve": _cmd_solve, "verify": _cmd_verify, "frenet": _cmd_frenet}
     try:
-        with warnings.catch_warnings():
+        # numpy's floating-point warnings name no input; the commands check their output
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("default")
             warnings.showwarning = _show_warning
             return command[args.command](args)

@@ -74,6 +74,7 @@ def test_every_input_ends_in_finite_output_or_one_error_line(argv):
     lines = err.splitlines()
     assert code in (0, 1, 2), code
     assert all(DIAGNOSTIC.match(line) for line in lines), err
+    assert not any("encountered in" in line for line in lines), err  # numpy warnings stay silent
     if code == 1:
         assert argv[0] == "verify"
         assert out.endswith("status = fail\n")
