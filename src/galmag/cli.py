@@ -265,10 +265,12 @@ def _solve_curve(args):
 
 
 def _summary(curve, s0: float):
-    """Case name, kappa, tau at s0 (None where kappa = 0) and HelixData or None."""
+    """Case name, kappa, tau at s0 (None where kappa = 0) and HelixData or None, all finite."""
     kappa = curve.kappa0
     tau = None if kappa == 0.0 else frenet.torsion(curve, s0)
     helix = helix_decomposition(curve) if curve.case.is_helix else None
+    head = (0.0 if tau is None else tau, *(astuple(helix) if helix else ()))
+    _check_finite("s,kappa,tau,r,a,b,c,d", np.array([[s0, kappa, *head]]))
     return curve.case.value, kappa, tau, helix
 
 
@@ -293,8 +295,6 @@ def _cmd_solve(args) -> int:
     table = np.column_stack((grid, grid, curve.y.eval(grid), curve.z.eval(grid)))
     _check_finite("s,x,y,z", table)
     case, kappa, tau, helix = _summary(curve, float(grid[0]))
-    head = (0.0 if tau is None else tau, *(astuple(helix) if helix else ()))
-    _check_finite("s,kappa,tau,r,a,b,c,d", np.array([[grid[0], kappa, *head]]))
     tau_text = "nan" if tau is None else _fmt(tau)
     lines = [f"case: {case}", f"kappa: {_fmt(kappa)}", f"tau: {tau_text}"]
     if helix is not None:
@@ -355,8 +355,8 @@ def _cmd_verify(args) -> int:
     tol = _verify_tolerance(args)
     curve = _solve_curve(args)
     s_start, s_end, _ = _parse_range(args)
-    metrics = verify(curve, s_start, s_end, args.step)
     case, kappa, tau, helix = _summary(curve, s_start)
+    metrics = verify(curve, s_start, s_end, args.step)
     tau_text = "nan" if tau is None else _fmt(tau)
     lines = [f"case = {case}", f"kappa = {_fmt(kappa)}", f"tau = {tau_text}"]
     if helix is not None:

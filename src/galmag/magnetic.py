@@ -227,6 +227,8 @@ def magnetic_rhs(field: KillingField, state) -> tuple[float, float, float, float
     are the constants (v3, -v2).
     """
     _y, _z, yd, zd = state
+    if field.v1 == 0.0:
+        return (yd, zd, field.v3, -field.v2)
     return (yd, zd, field.v3 - field.v1 * zd, field.v1 * yd - field.v2)
 
 

@@ -14,11 +14,12 @@ without value, and a fixed step makes the O(step**4) convergence check
 meaningful.
 
 The right-hand side is traced once, on symbolic state values, so it may
-only do arithmetic (+ - * / **, unary -) on the state and int or float
-constants.  The step runs as one loop generated per traced right-hand side,
-with its operations written inline and unrolled over the components.  It
-performs the textbook loop's floating-point operations in the textbook
-order, so its states equal that loop's bit for bit.
+only do arithmetic (+ - *, unary -) on the state and int or float
+constants; none of these raises or turns complex once a state overflows.
+The step runs as one loop generated per traced right-hand side, with its
+operations written inline and unrolled over the components.  It performs
+the textbook loop's floating-point operations in the textbook order, so its
+states equal that loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,16 +90,18 @@ def grid_points(cfg: IntegratorConfig) -> np.ndarray:
     return grid
 
 
-_CONTRACT = ("rhs must be arithmetic (+ - * / **, unary -) on the state values and int "
-             "or float constants only")
+_CONTRACT = ("rhs must be arithmetic (+ - *, unary -) on the state values and int or "
+             "float constants only")
 # bounds each expression's nesting below the parser's limit (200) and its length
 _MAX_OPS = 150
+# steps between the kernel's overflow checks
+_BLOCK = 1024
 
 
 def _const(consts: list, value) -> str:
     if not isinstance(value, (int, float)):
         raise TypeError(f"a {type(value).__name__} is not an int or float constant")
-    consts.append(value)
+    consts.append(float(value))
     return f"q{len(consts) - 1}"
 
 
@@ -135,8 +137,6 @@ class _Sym:
     __add__, __radd__ = _operator("({a} + {b})"), _operator("({b} + {a})")
     __sub__, __rsub__ = _operator("({a} - {b})"), _operator("({b} - {a})")
     __mul__, __rmul__ = _operator("({a} * {b})"), _operator("({b} * {a})")
-    __truediv__, __rtruediv__ = _operator("({a} / {b})"), _operator("({b} / {a})")
-    __pow__, __rpow__ = _operator("({a} ** {b})"), _operator("({b} ** {a})")
     __bool__ = __eq__ = _untraceable
 
     def __neg__(self) -> _Sym:
@@ -154,55 +154,62 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
         t = st + inc;  comp = (t - st) - inc;  st = t
 
     so the states match that loop bit for bit; only the RHS calls, the stage
-    tuples and the stage components no expression reads are gone.  The
-    constants are bound to q0, q1, ... from the list `consts`, so no value
-    passes through source text.
+    tuples and the stage components no expression reads are gone, and the
+    stages of a component that reads no state are computed before the loop.
+    The constants are bound to q0, q1, ... from the list `consts`, so no
+    value passes through source text.  The states are stored flat.  Overflow
+    is checked once per _BLOCK steps: a non-finite component stays so.
     """
     m = len(exprs)
     x, p = [f"x{j}" for j in range(m)], [f"p{j}" for j in range(m)]
     read = [j for j in range(m) if any(f"{{x[{j}]}}" in e for e in exprs)]
+    free = [j for j in range(m) if "{x[" not in exprs[j]]
 
     def stage(letter, names):
-        return [f"        {letter}{j} = {e.format(x=names)}" for j, e in enumerate(exprs)]
+        return [f"            {letter}{j} = {e.format(x=names)}"
+                for j, e in enumerate(exprs) if j not in free]
 
     def point(scale, letter):
-        return [f"        p{j} = x{j} + {scale} * {letter}{j}" for j in read]
+        return [f"            p{j} = x{j} + {scale} * {letter}{j}" for j in read]
 
+    row = f"({''.join(f'{name}, ' for name in x)})"
     lines = [
         "def run(grid, st, consts):",
         "    isfinite = math.isfinite",
         f"    [{', '.join(f'q{i}' for i in range(n_consts))}] = consts",
         f"    [{', '.join(x)}] = st",
         *(f"    e{j} = 0.0" for j in range(m)),
+        *(f"    a{j} = b{j} = c{j} = d{j} = {exprs[j]}" for j in free),
+        *(f"    w{j} = a{j} + 2.0 * (b{j} + c{j}) + d{j}" for j in free),
         "    sixth = 1.0 / 6.0",
-        "    states = [st]",
-        "    append = states.append",
-        "    points = iter(grid)",
-        "    s_prev = next(points)",
-        "    for s_next in points:",
-        "        h = s_next - s_prev",
-        "        half = 0.5 * h",
-        "        h6 = h * sixth",
+        "    states = list(st)",
+        "    extend = states.extend",
+        "    s_prev = grid[0]",
+        f"    for start in range(1, len(grid), {_BLOCK}):",
+        f"        for s_next in grid[start:start + {_BLOCK}]:",
+        "            h = s_next - s_prev",
+        "            half = 0.5 * h",
+        "            h6 = h * sixth",
         *stage("a", x), *point("half", "a"), *stage("b", p), *point("half", "b"),
         *stage("c", p), *point("h", "c"), *stage("d", p),
     ]
     for j in range(m):
+        weights = f"w{j}" if j in free else f"(a{j} + 2.0 * (b{j} + c{j}) + d{j})"
         lines += [
-            f"        i{j} = h6 * (a{j} + 2.0 * (b{j} + c{j}) + d{j}) - e{j}",
-            f"        t{j} = x{j} + i{j}",
-            f"        e{j} = (t{j} - x{j}) - i{j}",
-            f"        x{j} = t{j}",
+            f"            i{j} = h6 * {weights} - e{j}",
+            f"            t{j} = x{j} + i{j}",
+            f"            e{j} = (t{j} - x{j}) - i{j}",
+            f"            x{j} = t{j}",
         ]
     lines += [
-        f"        st = ({''.join(f'{name}, ' for name in x)})",
+        f"            extend({row})",
+        "            s_prev = s_next",
         # a finite sum proves every component finite; otherwise look closer
-        f"        if not isfinite({' + '.join(x) or '0.0'}) and not all(map(isfinite, st)):",
-        "            raise NonFiniteState(f'state became non-finite at s = {s_next}', s_next)",
-        "        append(st)",
-        "        s_prev = s_next",
+        f"        if not isfinite({' + '.join(x) or '0.0'}) and not all(map(isfinite, {row})):",
+        "            break",
         "    return states",
     ]
-    namespace = {"math": math, "NonFiniteState": NonFiniteState}
+    namespace = {"math": math}
     exec("\n".join(lines), namespace)
     return namespace["run"]
 
@@ -220,8 +227,8 @@ def integrate(
         Derivative of an autonomous system: rhs(state) takes a tuple and
         returns a sequence of the same length.  It is called once, on
         symbolic state values, and its operations then run inline; so it
-        may only do arithmetic (+ - * / **, unary -) on the state and int
-        or float constants, and branch on anything but the state.
+        may only do arithmetic (+ - *, unary -) on the state and int or
+        float constants, and branch on anything but the state.
     initial : sequence of float
         State at cfg.s_start.
     cfg : IntegratorConfig
@@ -255,9 +262,14 @@ def integrate(
     # accumulate enough rounding to mask the O(step**4) truncation error
     # that the convergence check measures.  The step h is taken from the
     # grid at every step: the spacing differs in the last bits.
-    states = _rk4_kernel(exprs, len(consts))(grid.tolist(), state, consts)
-    flat = np.fromiter(chain.from_iterable(states), float, len(states) * m)
-    return SampledCurve(grid=grid, states=flat.reshape(len(states), m))
+    points = grid.tolist()
+    states = _rk4_kernel(exprs, len(consts))(points, state, consts)
+    flat = np.fromiter(states, float, len(states))
+    finite = np.isfinite(flat[m:])
+    if not finite.all():
+        s = points[int(finite.argmin()) // m + 1]
+        raise NonFiniteState(f"state became non-finite at s = {s}", s)
+    return SampledCurve(grid=grid, states=flat.reshape(len(points), m))
 
 
 def max_deviation(

@@ -377,6 +377,15 @@ class TestVerify:
         assert code == 2
         assert err == "error: nonfinite-state (state became non-finite at s = -0.001)\n"
 
+    def test_nonfinite_summary_refused_before_the_oracle(self, capsys):
+        # solve refuses the same data; verify printed nan metrics and exited 1
+        code, out, err = run(capsys, ["verify", "--mode=magnetic", "--v=-1e308,1e308,1e-200",
+                                      "--ic=Y0=-1,y0=3e-162", "--range=1e-200:0.001"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: nonfinite-output (kappa = nan at s = ")
+        assert err.count("\n") == 1
+
     def test_incompatible_ic_is_validation_error(self, capsys):
         code, _, err = run(
             capsys,

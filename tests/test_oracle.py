@@ -1,4 +1,5 @@
 import math
+import sys
 from functools import partial, reduce
 
 import numpy as np
@@ -59,19 +60,22 @@ def _reference_integrate(rhs, initial, cfg):
 
 
 def affine_rhs(matrix, offset):
+    # a zero coefficient drops its term, so an all-zero row reads no state
     def rhs(st):
         return tuple(
-            sum(a * w for a, w in zip(row, st)) + c for row, c in zip(matrix, offset)
+            sum([a * w for a, w in zip(row, st) if a != 0.0], c)
+            for row, c in zip(matrix, offset)
         )
     return rhs
 
 
 @st.composite
 def affine_systems(draw):
-    m = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 6))
     coeff = st.floats(-2.0, 2.0)
-    matrix = [[draw(coeff) for _ in range(m)] for _ in range(m)]
-    offset = [draw(coeff) for _ in range(m)]
+    row = st.one_of(st.just([0.0] * m), st.lists(coeff, min_size=m, max_size=m))
+    matrix = [draw(row) for _ in range(m)]
+    offset = [draw(st.one_of(st.sampled_from([0.0, -0.0]), coeff)) for _ in range(m)]
     initial = [draw(st.floats(-10.0, 10.0)) for _ in range(m)]
     return affine_rhs(matrix, offset), initial
 
@@ -258,6 +262,38 @@ class TestIntegrate:
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"s = {got.value.s}")
 
+    @pytest.mark.parametrize("initial, n", [
+        *(((sys.float_info.max / 6.0 * math.exp(-(n - 0.5) * 1e-3), 1.0), n)
+          for n in (1023, 1024, 1025, 2048, 2049)),
+        ((1.0, math.inf), 1), ((1.0, -math.inf), 1), ((1.0, math.nan), 1),
+    ], ids=["1023", "1024", "1025", "2048", "2049", "inf", "-inf", "nan"])
+    def test_overflow_at_reference_step(self, initial, n):
+        # the weights 6*u overflow at step n, either side of the kernel's checks
+        # every 1024 steps; a non-finite initial value counts at the first step
+        cfg = IntegratorConfig(0.0, 3.0, step=1e-3)
+
+        def rhs(state):
+            return (state[0], -state[1])
+
+        with pytest.raises(NonFiniteState) as want:
+            _reference_integrate(rhs, initial, cfg)
+        with pytest.raises(NonFiniteState) as got:
+            integrate(rhs, initial, cfg)
+        assert str(got.value) == str(want.value)
+        assert got.value.s == grid_points(cfg)[n]
+
+    @pytest.mark.parametrize("rhs", [
+        lambda st: (0.0, 0.0),
+        lambda st: (0.0 * st[1], -0.0 * st[0]),
+    ], ids=["state-free", "state-reading"])
+    def test_finite_states_with_overflowing_sum(self, rhs):
+        # the components stay finite while their sum, the kernel's quick check, is inf
+        cfg = IntegratorConfig(0.0, 3.0, step=1e-3)
+        got = integrate(rhs, (1e308, 1e308), cfg)
+        want = _reference_integrate(rhs, (1e308, 1e308), cfg)
+        assert np.array_equal(got.states, want.states)
+        assert got.states[-1].tolist() == [1e308, 1e308]
+
     def test_rhs_called_once(self):
         calls = []
 
@@ -278,14 +314,28 @@ class TestIntegrate:
             assert np.array_equal(got.grid, want.grid)
             assert np.array_equal(got.states, want.states)
 
-    def test_division_powers_and_reflected_operators(self):
+    @given(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+           st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
+           st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), short_last_step_windows())
+    def test_isotropic_magnetic_matches_state_reading_form(self, v2, v3, initial, cfg):
+        # magnetic_rhs returns the constants (v3, -v2) for v1 = 0; up to the
+        # sign of a zero they equal the general form's v3 - 0*z' and 0*y' - v2
+        def general(state):
+            _y, _z, yd, zd = state
+            return (yd, zd, v3 - 0.0 * zd, 0.0 * yd - v2)
+
+        got = integrate(partial(magnetic_rhs, KillingField(0.0, v2, v3)), initial, cfg)
+        want = _reference_integrate(general, initial, cfg)
+        assert np.array_equal(got.states, want.states)
+
+    def test_reflected_operators_and_int_constants(self):
         def rhs(state):
             u, v, w, z, zero = state
             return (
-                1 / (2 + u * u),
-                2 ** -(u ** 2) - v / 4,
+                1 - (2 + u * 0.5),
+                2 * -(u * v) - v * 4,
                 3,
-                1.0 - np.float64(1.5) * w ** 0.5,
+                1.0 - np.float64(1.5) * w,
                 -0.0,
             )
 
@@ -308,9 +358,15 @@ class TestIntegrate:
         # too large to inline: nested too deep, or 2**60 terms once written out
         lambda st: (sum([st[0]] * 200, 1.0),),
         lambda st: (reduce(lambda t, _: t + t, range(60), st[0]),),
-    ], ids=["compare", "equal", "truth", "math", "numpy", "abs", "str", "deep", "doubled"])
+        # may raise or turn complex once a state overflows
+        lambda st: (st[0] / 2.0,),
+        lambda st: (1.0 / st[0],),
+        lambda st: (st[0] ** 2,),
+        lambda st: (2.0 ** st[0],),
+    ], ids=["compare", "equal", "truth", "math", "numpy", "abs", "str", "deep", "doubled",
+            "div", "rdiv", "pow", "rpow"])
     def test_untraceable_rhs_rejected(self, rhs):
-        with pytest.raises(TypeError, match=r"rhs must be arithmetic \(\+ - \* / \*\*"):
+        with pytest.raises(TypeError, match=r"rhs must be arithmetic \(\+ - \*, unary -\)"):
             integrate(rhs, (1.0,), IntegratorConfig(0.0, 1.0, step=0.1))
 
     def test_rhs_arity_checked(self):
