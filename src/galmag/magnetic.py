@@ -9,12 +9,17 @@ in closed form:
 * N-magnetic curves:  N' = V x N  for the principal normal N, under
                       constant curvature kappa0 = sqrt(T0**2 + U0**2)
 
-Both reduce to linear constant-coefficient ODE systems in (y, z), so
-every solution is a quadratic polynomial plus, when v1 != 0, a sinusoid
-of angular frequency v1.  The v1 != 0 solutions are cylindrical helices:
-a Euclidean circle of constant radius in the isotropic plane drifting
-along an admissible straight line (`helix_decomposition` recovers the
-radius and the axis).
+Both reduce to linear constant-coefficient ODE systems in (y, z).  With
+P = y + i*z, w = v1 and the phi-functions phi1(x) = (e^x - 1)/x and
+phi2(x) = (e^x - 1 - x)/x**2 of exponential integrators, one formula
+serves every v1, with the initial data and the field as its coefficients:
+
+    magnetic:    P(s) = P(0) + P'(0)*s*phi1(iws) + (v3 - i*v2)*s**2*phi2(iws)
+    N-magnetic:  P(s) = P(0) + P'(0)*s + P''(0)*s**2*phi2(iws)
+
+At v1 = 0 this is a quadratic polynomial, otherwise a cylindrical helix:
+a Euclidean circle of radius kappa0/v1**2 in the isotropic plane drifting
+along an admissible straight line (`helix_decomposition`).
 
 B-magnetic curves (binormal in place of the normal) only get their ODE
 right-hand side here; no closed-form solver is provided for them.
@@ -23,7 +28,6 @@ right-hand side here; no closed-form solver is provided for them.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -54,9 +58,8 @@ __all__ = [
     "n_magnetic_residual",
 ]
 
-# Below this, 1/v1**2 amplifies the initial data by >= 1e24; the closed
-# form is still exact but numerically treacherous.
-_TINY_V1 = 1e-12
+# (x - sin x)/x**3 in powers of x**2: 8 terms are exact to rounding for |x| < 0.5
+_S2_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
 
 
 @dataclass(frozen=True)
@@ -121,15 +124,66 @@ class CurveCase(Enum):
         return self in (CurveCase.MAGNETIC_PARABOLA, CurveCase.MAGNETIC_HELIX)
 
 
+def _x_minus_sin_over_x2(x):
+    """(x - sin x)/x**2, by its Taylor series where |x| < 0.5 (the difference cancels)."""
+    if not isinstance(x, np.ndarray):
+        return _series(x) if abs(x) < 0.5 else (x - math.sin(x)) / x / x
+    out, small = np.empty_like(x), np.abs(x) < 0.5
+    out[small], big = _series(x[small]), x[~small]
+    out[~small] = (big - np.sin(big)) / big / big
+    return out
+
+
+def _series(x):
+    x2 = x * x  # Horner's rule, in place for an array
+    acc = x2 * _S2_SERIES[-1]
+    for coeff in _S2_SERIES[-2:0:-1]:
+        acc += coeff
+        acc *= x2
+    return (acc + _S2_SERIES[0]) * x
+
+
+def _basis(omega: float, s, order: int):
+    """What the order-th derivative of a `QuadSinusoid` of frequency omega needs at s.
+
+    With x = omega*s, sigma = sin(x/2)/(x/2), t = s*sigma and g = (x - sin x)/x**2:
+    C1 = t*cos(x/2), S1 = t*sin(x/2), C2 = t**2/2 and S2 = s*(s*g).
+    """
+    if order not in (0, 1, 2, 3):
+        raise ValueError(f"derivative order must be 0..3, got {order}")
+    x = omega * s
+    is_array = isinstance(s, np.ndarray)
+    cos, sin = (np.cos, np.sin) if is_array else (math.cos, math.sin)
+    if order >= 2:
+        return cos(x), sin(x)
+    half = 0.5 * x
+    ch, sh = cos(half), sin(half)
+    # sigma = 1 wherever half is 0, which includes every subnormal x
+    if is_array:
+        sigma = np.divide(sh, half, out=np.ones_like(half), where=half != 0.0)
+    else:
+        sigma = sh / half if half else 1.0
+    t = s * sigma
+    if order == 1:
+        return 1.0 - 2.0 * sh * sh, 2.0 * sh * ch, t, ch, sh
+    return sigma, ch, sh, t, s * _x_minus_sin_over_x2(x)
+
+
 @dataclass(frozen=True)
 class QuadSinusoid:
-    """Scalar function c0 + c1*s + c2*s**2 + a_cos*cos(w*s) + a_sin*sin(w*s)."""
+    """Scalar function c0 + c1*s + p*C1 + q*S1 + u*C2 + v*S2 of frequency omega.
+
+    C1 + i*S1 = s*phi1(i*x) and C2 + i*S2 = s**2*phi2(i*x) with x = omega*s
+    (s, 0, s**2/2 and 0 at omega = 0).  As C1' = cos x, S1' = sin x, C2' = C1
+    and S2' = S1, the second derivative is (u + omega*q)*cos x + (v - omega*p)*sin x.
+    """
 
     c0: float = 0.0
     c1: float = 0.0
-    c2: float = 0.0
-    a_cos: float = 0.0
-    a_sin: float = 0.0
+    p: float = 0.0
+    q: float = 0.0
+    u: float = 0.0
+    v: float = 0.0
     omega: float = 0.0
 
     def eval(self, s, order: int = 0):
@@ -138,32 +192,23 @@ class QuadSinusoid:
         s is a float or a 1-D array; an array takes the same operations, so
         it matches the scalar results bit for bit (np.cos/np.sin round as math's).
         """
+        return self._combine(_basis(self.omega, s, order), s, order)
+
+    def _combine(self, basis, s, order: int):
         if order == 0:
-            val = self.c0 + s * (self.c1 + s * self.c2)
-        elif order == 1:
-            val = self.c1 + 2.0 * self.c2 * s
-        elif order == 2:
-            val = 2.0 * self.c2
-        elif order == 3:
-            val = 0.0
-        else:
-            raise ValueError(f"derivative order must be 0..3, got {order}")
-        if self.omega != 0.0:
-            w = self.omega
-            cos, sin = (np.cos, np.sin) if isinstance(s, np.ndarray) else (math.cos, math.sin)
-            c = cos(w * s)
-            sn = sin(w * s)
-            if order == 0:
-                val += self.a_cos * c + self.a_sin * sn
-            elif order == 1:
-                val += w * (self.a_sin * c - self.a_cos * sn)
-            elif order == 2:
-                val -= w * w * (self.a_cos * c + self.a_sin * sn)
-            else:
-                val += w * w * w * (self.a_cos * sn - self.a_sin * c)
-        if isinstance(s, np.ndarray) and not isinstance(val, np.ndarray):
-            val = np.full(s.shape, val)
-        return val
+            sigma, ch, sh, t, sg = basis
+            return self.c0 + s * (
+                self.c1 + sigma * (self.p * ch + self.q * sh + 0.5 * self.u * t) + self.v * sg
+            )
+        if order == 1:
+            c, sn, t, ch, sh = basis
+            return self.c1 + self.p * c + self.q * sn + t * (self.u * ch + self.v * sh)
+        c, sn = basis
+        a = self.u + self.omega * self.q
+        b = self.v - self.omega * self.p
+        if order == 2:
+            return a * c + b * sn
+        return self.omega * (b * c - a * sn)
 
 
 @dataclass(frozen=True)
@@ -187,14 +232,13 @@ class ClosedFormCurve:
         A float s gives a GVector3.  A 1-D array gives (n, 3) rows, each
         equal bit for bit to the GVector3 at that s.
         """
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be 0..3, got {order}")
+        basis = _basis(self.y.omega, s, order)
         x1 = (s, 1.0, 0.0, 0.0)[order]
-        return _vector(x1, self.y.eval(s, order), self.z.eval(s, order))
+        return _vector(x1, self.y._combine(basis, s, order), self.z._combine(basis, s, order))
 
     @property
     def kappa0(self) -> float:
-        """Curvature at s = 0; constant along every solution curve."""
+        """Curvature |gamma''(0)|; constant along every solution curve."""
         acc = self.eval(0.0, 2)
         return math.hypot(acc.x2, acc.x3)
 
@@ -278,26 +322,11 @@ def b_magnetic_constraint(field: KillingField, state) -> float:
     return field.v2 * state[4] + field.v3 * state[5]
 
 
-def _check_tiny_v1(v1: float) -> None:
-    if v1 * v1 == 0.0:
-        raise ValueError(f"|v1| = {abs(v1):.3e} is too small: v1**2 underflows to 0")
-
-
-def _helix_curve(case, field, ic, y: QuadSinusoid, z: QuadSinusoid) -> ClosedFormCurve:
-    # an overflowed coefficient would print nan/inf rows with exit 0
-    coeffs = (y.c0, y.c1, y.a_cos, y.a_sin, z.c0, z.c1, z.a_cos, z.a_sin)
-    if not all(map(math.isfinite, coeffs)):
-        raise ValueError(f"helix coefficients overflow for v1 = {field.v1!r}")
-    # only a curve that is returned warns, so a rejected one gets its error alone
-    if abs(field.v1) < _TINY_V1:
-        warnings.warn(
-            f"|v1| = {abs(field.v1):.3e} is below {_TINY_V1:g}; the helix radius "
-            "scales like 1/v1**2 and the solution coefficients may overflow "
-            "or lose all precision",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return ClosedFormCurve(case, field, ic, y, z)
+def _solution(case, field, ic, y: QuadSinusoid, z: QuadSinusoid) -> ClosedFormCurve:
+    curve = ClosedFormCurve(case, field, ic, y, z)
+    if not math.isfinite(curve.kappa0):  # it would print inf/nan rows with exit 0
+        raise ValueError(f"kappa0 = |gamma''(0)| overflows to {curve.kappa0!r}")
+    return curve
 
 
 def solve_magnetic(field: KillingField, ic: MagneticIC) -> ClosedFormCurve:
@@ -313,30 +342,22 @@ def solve_magnetic(field: KillingField, ic: MagneticIC) -> ClosedFormCurve:
     Returns
     -------
     ClosedFormCurve
-        For isotropic fields (v1 = 0) the parabola
-
-            y = (v3/2) s**2 + Y0 s + y0,   z = -(v2/2) s**2 + Z0 s + z0;
-
-        otherwise the cylindrical helix with oscillation amplitudes
-        A = (Z0 - v3/v1)/v1 and B = (Y0 - v2/v1)/v1, angular frequency v1
-        and drift slopes (v2/v1, v3/v1).
+        Frequency v1 and QuadSinusoid coefficients (c0, c1, p, q, u, v)
+        y = (y0, 0, Y0, -Z0, v3, v2) and z = (z0, 0, Z0, Y0, -v2, v3): for
+        isotropic fields (v1 = 0) the parabola y = (v3/2) s**2 + Y0 s + y0,
+        z = -(v2/2) s**2 + Z0 s + z0, otherwise the cylindrical helix of
+        radius kappa0/v1**2 and drift slopes (v2/v1, v3/v1).
 
     Raises
     ------
     ValueError
-        If v1**2 underflows to 0 or a helix coefficient overflows.
+        If the curvature |gamma''(0)| overflows.
     """
     v1, v2, v3 = field.v1, field.v2, field.v3
-    if v1 == 0.0:
-        y = QuadSinusoid(c0=ic.y0, c1=ic.Y0, c2=0.5 * v3)
-        z = QuadSinusoid(c0=ic.z0, c1=ic.Z0, c2=-0.5 * v2)
-        return ClosedFormCurve(CurveCase.MAGNETIC_PARABOLA, field, ic, y, z)
-    _check_tiny_v1(v1)
-    a = (ic.Z0 - v3 / v1) / v1
-    b = (ic.Y0 - v2 / v1) / v1
-    y = QuadSinusoid(c0=ic.y0 - a, c1=v2 / v1, a_cos=a, a_sin=b, omega=v1)
-    z = QuadSinusoid(c0=ic.z0 + b, c1=v3 / v1, a_cos=-b, a_sin=a, omega=v1)
-    return _helix_curve(CurveCase.MAGNETIC_HELIX, field, ic, y, z)
+    case = CurveCase.MAGNETIC_PARABOLA if v1 == 0.0 else CurveCase.MAGNETIC_HELIX
+    y = QuadSinusoid(c0=ic.y0, p=ic.Y0, q=-ic.Z0, u=v3, v=v2, omega=v1)
+    z = QuadSinusoid(c0=ic.z0, p=ic.Z0, q=ic.Y0, u=-v2, v=v3, omega=v1)
+    return _solution(case, field, ic, y, z)
 
 
 def solve_n_magnetic(
@@ -358,15 +379,13 @@ def solve_n_magnetic(
     Returns
     -------
     ClosedFormCurve
-        For v1 = 0 the quadratic curve
-
-            y = (T0/2) s**2 + Y0 s + y0,   z = (U0/2) s**2 + Z0 s + z0,
-
-        accepted only if the compatibility constraint holds (it forces
-        T0 = 0 when only v3 acts, U0 = 0 when only v2 acts, and
-        v2*U0 = v3*T0 when both act).  For v1 != 0 the cylindrical helix
-        with amplitudes -T0/v1**2, U0/v1**2 (y) and -U0/v1**2, -T0/v1**2
-        (z), frequency v1 and drift slopes (Y0 - U0/v1, Z0 + T0/v1).
+        Frequency v1 and QuadSinusoid coefficients (c0, c1, p, q, u, v)
+        y = (y0, Y0, 0, 0, T0, -U0) and z = (z0, Z0, 0, 0, U0, T0): for v1 = 0
+        the quadratic curve y = (T0/2) s**2 + Y0 s + y0, z = (U0/2) s**2 + Z0 s + z0,
+        accepted only if the compatibility constraint holds (it forces T0 = 0
+        when only v3 acts, U0 = 0 when only v2 acts, and v2*U0 = v3*T0 when
+        both act), otherwise the cylindrical helix of radius kappa0/v1**2
+        and drift slopes (Y0 - U0/v1, Z0 + T0/v1).
 
     Raises
     ------
@@ -375,51 +394,27 @@ def solve_n_magnetic(
     IncompatibleIC
         If v1 = 0 and the compatibility constraint is violated.
     ValueError
-        If kappa0 overflows, v1**2 underflows to 0 or a helix coefficient
-        overflows.
+        If kappa0 overflows.
     """
     v1, v2, v3 = field.v1, field.v2, field.v3
     if ic.T0 == 0.0 and ic.U0 == 0.0:
         raise ZeroCurvature("T0 = U0 = 0: constant curvature would vanish")
-    if not math.isfinite(ic.kappa0):
-        raise ValueError(f"kappa0 = hypot(T0, U0) overflows for T0 = {ic.T0!r}, U0 = {ic.U0!r}")
     if v1 != 0.0:
-        _check_tiny_v1(v1)
-        v1sq = v1 * v1
-        y = QuadSinusoid(
-            c0=ic.y0 + ic.T0 / v1sq,
-            c1=ic.Y0 - ic.U0 / v1,
-            a_cos=-ic.T0 / v1sq,
-            a_sin=ic.U0 / v1sq,
-            omega=v1,
-        )
-        z = QuadSinusoid(
-            c0=ic.z0 + ic.U0 / v1sq,
-            c1=ic.Z0 + ic.T0 / v1,
-            a_cos=-ic.U0 / v1sq,
-            a_sin=-ic.T0 / v1sq,
-            omega=v1,
-        )
-        return _helix_curve(CurveCase.NMAGNETIC_HELIX, field, ic, y, z)
-
-    constraint = v2 * ic.U0 - v3 * ic.T0
-    scale = 1.0 + abs(v2 * ic.U0) + abs(v3 * ic.T0)
-    if abs(constraint) > constraint_rtol * scale:
-        raise IncompatibleIC(
-            f"v2*U0 - v3*T0 = {constraint:g} != 0: the initial accelerations "
-            "are incompatible with the force equation for this field"
-        )
-    if v2 == 0.0 and v3 == 0.0:
-        case = CurveCase.NMAGNETIC_FREE
-    elif v2 == 0.0:
-        case = CurveCase.NMAGNETIC_Z_FIELD
-    elif v3 == 0.0:
-        case = CurveCase.NMAGNETIC_Y_FIELD
+        case = CurveCase.NMAGNETIC_HELIX
     else:
-        case = CurveCase.NMAGNETIC_YZ_FIELD
-    y = QuadSinusoid(c0=ic.y0, c1=ic.Y0, c2=0.5 * ic.T0)
-    z = QuadSinusoid(c0=ic.z0, c1=ic.Z0, c2=0.5 * ic.U0)
-    return ClosedFormCurve(case, field, ic, y, z)
+        constraint = v2 * ic.U0 - v3 * ic.T0
+        scale = 1.0 + abs(v2 * ic.U0) + abs(v3 * ic.T0)
+        if abs(constraint) > constraint_rtol * scale:
+            raise IncompatibleIC(
+                f"v2*U0 - v3*T0 = {constraint:g} != 0: the initial accelerations "
+                "are incompatible with the force equation for this field"
+            )
+        # indexed by which of v2 and v3 act
+        case = (CurveCase.NMAGNETIC_FREE, CurveCase.NMAGNETIC_Y_FIELD, CurveCase.NMAGNETIC_Z_FIELD,
+                CurveCase.NMAGNETIC_YZ_FIELD)[(v2 != 0.0) + 2 * (v3 != 0.0)]
+    y = QuadSinusoid(c0=ic.y0, c1=ic.Y0, u=ic.T0, v=-ic.U0, omega=v1)
+    z = QuadSinusoid(c0=ic.z0, c1=ic.Z0, u=ic.U0, v=ic.T0, omega=v1)
+    return _solution(case, field, ic, y, z)
 
 
 def helix_decomposition(curve: ClosedFormCurve) -> HelixData:
@@ -427,8 +422,9 @@ def helix_decomposition(curve: ClosedFormCurve) -> HelixData:
 
     The difference gamma(s) - l(s) between the curve and its axis is the
     pure oscillatory part, an isotropic vector of constant Galilean norm r,
-    so the radius is the amplitude of the oscillation and the axis is the
-    polynomial part of the solution.
+    so the radius is the amplitude of the oscillation, kappa0/v1**2, and the
+    axis is the polynomial part of the solution: in each component, slope
+    c1 + v/v1 and offset c0 + (q + u/v1)/v1.
 
     Raises
     ------
@@ -437,8 +433,10 @@ def helix_decomposition(curve: ClosedFormCurve) -> HelixData:
     """
     if not curve.case.is_helix:
         raise WrongCase(f"curve case {curve.case.value!r} is not a helix")
-    r = math.hypot(curve.y.a_cos, curve.y.a_sin)
-    return HelixData(r=r, a=curve.y.c1, b=curve.y.c0, c=curve.z.c1, d=curve.z.c0)
+    w, y, z = curve.y.omega, curve.y, curve.z
+    # dividing twice, a tiny v1 gives r = inf rather than a ZeroDivisionError
+    return HelixData(curve.kappa0 / abs(w) / abs(w), y.c1 + y.v / w, y.c0 + (y.q + y.u / w) / w,
+                     z.c1 + z.v / w, z.c0 + (z.q + z.u / w) / w)
 
 
 def lorentz_residual(curve: ClosedFormCurve, s):

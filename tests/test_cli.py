@@ -141,6 +141,16 @@ class TestSolve:
         assert lines[0] == "s,x,y,z"
         assert len(lines) == 202  # default sample count
 
+    def test_overflowing_v1_straight_line(self, capsys):
+        # v1*v1 overflows; kappa read 0*inf = nan, and the command exited 2
+        code, out, err = run(capsys, ["solve", "--mode=magnetic", "--v=1e308,0,0",
+                                      "--range=0:1:1e-3"])
+        assert code == 0, err
+        assert "kappa: 0\n" in err
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 1001
+        assert all(x == s and y == z == "0" for s, x, y, z in rows)
+
     def test_nmagnetic_quadratic(self, capsys):
         code, out, err = run(
             capsys,
@@ -244,13 +254,14 @@ class TestSolveErrors:
     @pytest.mark.parametrize("argv", [
         ["--mode", "nmagnetic", "--v", "1e-200,0,0", "--ic", "T0=1"],
         ["--mode", "magnetic", "--v", "1e-200,0,0.5", "--ic", "y0=1", "--samples", "3"],
+        ["--mode", "magnetic", "--v", "1e-320,0.5,0.7", "--ic", "y0=1", "--samples", "3"],
     ])
     def test_underflowing_v1_squared_rejected(self, capsys, argv):
+        # the curve is finite and exact, its helix radius kappa0/v1**2 is not
         code, out, err = run(capsys, ["solve", *argv, "--range", "0:1"])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: invalid-input (")
-        assert err.count("\n") == 1
+        assert err == "error: nonfinite-output (r = inf at s = 0)\n"
 
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_overflowing_kappa0_rejected(self, capsys, command):
@@ -259,6 +270,23 @@ class TestSolveErrors:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
+        assert err.startswith("error: invalid-input (kappa0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        # the acceleration (v3, -v2) of a parabola is finite, its norm is not
+        ["--v=0,1.5e308,1.5e308", "--format=json"],
+        ["--v=0,1.5e308,1.5e308"],
+        ["--v=1,0,0", "--ic=Y0=1.5e308,Z0=1.5e308"],
+    ])
+    def test_overflowing_magnetic_curvature_rejected(self, capsys, tmp_path, argv):
+        # the solver refuses the curve; the CLI printed kappa: inf, later nonfinite-output
+        path = tmp_path / "out.txt"
+        code, out, err = run(capsys, ["solve", "--mode=magnetic", *argv, "--range=0:1e-200",
+                                      "--samples=2", f"--output={path}"])
+        assert code == 2
+        assert out == ""
+        assert not path.exists()
         assert err.startswith("error: invalid-input (kappa0")
         assert err.count("\n") == 1
 
@@ -377,14 +405,28 @@ class TestVerify:
         assert code == 2
         assert err == "error: nonfinite-state (state became non-finite at s = -0.001)\n"
 
-    def test_nonfinite_summary_refused_before_the_oracle(self, capsys):
-        # solve refuses the same data; verify printed nan metrics and exited 1
-        code, out, err = run(capsys, ["verify", "--mode=magnetic", "--v=-1e308,1e308,1e-200",
-                                      "--ic=Y0=-1,y0=3e-162", "--range=1e-200:0.001"])
+    def test_nonfinite_summary_refused_before_the_oracle(self, capsys, monkeypatch):
+        # solve refuses the same data; verify printed nan or inf metrics and exited 1
+        monkeypatch.setattr(oracle, "integrate", None)  # RK4 must not run
+        code, out, err = run(capsys, ["verify", "--mode=magnetic", "--v=1e-200,0.5,0.7",
+                                      "--ic=y0=1", "--range=0:1"])
         assert code == 2
         assert out == ""
-        assert err.startswith("error: nonfinite-output (kappa = nan at s = ")
-        assert err.count("\n") == 1
+        assert err == "error: nonfinite-output (r = inf at s = 0)\n"
+
+    @pytest.mark.parametrize("v1", ["1e-4", "1e-7"])
+    def test_near_isotropic_helix_follows_the_oracle(self, capsys, v1):
+        # (Z0 - v3/v1)/v1 cancelled here: deviation 1.8e-8 at 1e-4 and 1.1e-2 at 1e-7.
+        # helix_spread is absolute, one ulp of the radius 8.6e7 (1e-4) or 8.6e13 (1e-7),
+        # so status stays fail until the metrics scale with the curve.
+        code, out, _ = run(capsys, ["verify", "--mode", "magnetic", "--v", f"{v1},0.5,0.7",
+                                    "--ic", "y0=1,Y0=0.3,z0=2,Z0=0.4", "--range", "0:3"])
+        report = parse_report(out)
+        for key in ("deviation", "residual", "curvature_spread"):
+            assert float(report[key]) <= 1e-14
+        r = float(report["helix_r"])
+        assert float(report["helix_spread"]) <= 2 * math.ulp(r)
+        assert (code, report["status"]) == (1, "fail")
 
     def test_incompatible_ic_is_validation_error(self, capsys):
         code, _, err = run(
@@ -505,14 +547,9 @@ class TestNonFiniteOutput:
           "--range=-3:0.001", "--samples=3"], "y = inf at s = -3"),
         (["frenet", "--mode=nmagnetic", "--v=1e308,-1,1e-320", "--ic=T0=3e-162,U0=2",
           "--range=0:0.001"], "at s = 0"),
-        # the acceleration (v3, -v2) of a parabola is finite, its norm is not
-        (["solve", "--mode=magnetic", "--v=0,1.5e308,1.5e308", "--range=0:1e-200",
-          "--samples=2", "--format=json"], "kappa = inf at s = 0"),
         # the CSV summary on stderr is checked too
-        (["solve", "--mode=magnetic", "--v=0,1.5e308,1.5e308", "--range=0:1e-200",
-          "--samples=2"], "kappa = inf at s = 0"),
-        (["solve", "--mode=magnetic", "--v=1,0,0", "--ic=Y0=1.5e308,Z0=1.5e308",
-          "--range=0:1e-200", "--samples=2"], "kappa = inf at s = 0"),
+        (["solve", "--mode=magnetic", "--v=1e-200,0.5,0.7", "--ic=y0=1", "--range=0:1",
+          "--samples=2"], "r = inf at s = 0"),
     ])
     def test_refused_before_writing(self, capsys, tmp_path, argv, where):
         path = tmp_path / "out.txt"
@@ -540,18 +577,16 @@ class TestWarnings:
                                  "--range=0:1", "--samples=3"])
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr.startswith("error: invalid-input (")
-        assert proc.stderr.count("\n") == 1
+        assert proc.stderr == "error: nonfinite-output (r = inf at s = 0)\n"
 
-    def test_tiny_v1_warning_is_one_line(self):
+    def test_tiny_v1_solves_without_a_warning(self):
+        # v1 = 1e-13 warned that the coefficients may lose all precision; none divides by v1 now
         proc = self.run_process(["solve", "--mode=magnetic", "--v=1e-13,0.5,0.7",
                                  "--range=0:1", "--samples=3"])
         assert proc.returncode == 0
         lines = proc.stderr.splitlines()
-        warnings = [line for line in lines if line.startswith("warning:")]
-        assert len(warnings) == 1 and "is below 1e-12" in warnings[0]
-        assert all(line.startswith(("warning:", "case:", "kappa:", "tau:", "helix "))
-                   for line in lines)
+        assert [line.split(":")[0] for line in lines] == [
+            "case", "kappa", "tau", "helix radius", "helix axis"]
 
 
 @pytest.mark.parametrize("flag, reason", [

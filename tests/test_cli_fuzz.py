@@ -7,8 +7,8 @@ from ``verify`` (verification failed), or exit 2 with exactly one
 
 The values mix ordinary numbers with the magnitudes where the arithmetic
 breaks: 1e308 overflows when scaled, 1.5e308 already in a norm, 1e-200
-and 3e-162 underflow when squared, 1e-320 is subnormal and 1e-13 is below
-the tiny-v1 threshold.
+and 3e-162 underflow when squared, 1e-320 is subnormal and 1e-13 makes a
+near-isotropic field whose helix radius is finite but large.
 Windows stay small (or far beyond the step guard) and ``--samples`` stays
 at most 1000, so every example runs in milliseconds.
 """
