@@ -125,6 +125,15 @@ class TestSolveMagnetic:
         assert crv.eval(s, 1).x1 == 1.0
         assert crv.eval(s, 0).x1 == s
 
+    def test_tiny_v1_solves_silently(self):
+        # y = -(1 - cos v1*s)/v1 ~ -v1*s**2/2, which the old helix recipe lost to
+        # cancellation; z = sin(v1*s)/v1 ~ s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            crv = solve_magnetic(KillingField(1e-13, 0, 0), MagneticIC(0, 0, 0, 1))
+            assert crv.eval(2.0, 0).as_tuple() == pytest.approx((2.0, -2e-13, 2.0), rel=1e-15)
+            assert helix_decomposition(crv).r == pytest.approx(1e13, rel=1e-15)
+
     @pytest.mark.parametrize("field, ic", [
         # the acceleration (v3, -v2) of a parabola is finite, its norm is not
         (KillingField(0, 1.5e308, 1.5e308), MagneticIC(0, 0, 0, 0)),
