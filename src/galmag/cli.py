@@ -41,6 +41,7 @@ DEFAULT_RK4_STEP = 1e-3
 DEFAULT_SAMPLES = 201
 MAX_SAMPLES = 10**7  # output grids hold a dozen n-length columns at once
 _BLOCK = 1024  # rows per write: bounds the Python objects and text held at once
+_SIGN_BIT = np.int64(-1 << 63)  # the sign bit of a float64 seen as int64
 
 # a frenet JSON sample, one %r per column of s,t1,t2,t3,n1,n2,n3,b1,b2,b3,kappa,tau
 _FRAME = ('{"s": %r, "T": [%r, %r, %r], "N": [%r, %r, %r], "B": [%r, %r, %r], '
@@ -78,29 +79,60 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _write_rows(out, table: np.ndarray, row: str, fmt: str, sep: str) -> None:
-    """Write each row of table as the template row, whose i-th fmt formats column i.
+def _g17_strings(values: list) -> list[str]:
+    # one % call for the whole column: the fastest way to format %.17g here
+    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
 
-    Rows are joined by sep.  In each block, one % call formats each distinct
-    column: a column constant in the block becomes literal text of the row,
-    and one equal to an earlier column reuses its strings (equal bits, so
-    0.0 and -0.0 differ).  One join then builds the block's text at its exact
-    size: one % call for the whole block grows a buffer to a varying final
-    size, and over repeated calls its freed fragments raised peak memory.
+
+def _repr_strings(values: list) -> list[str]:
+    return list(map(repr, values))
+
+
+def _write_rows(out, table: np.ndarray, parts: list[str], strings, sep: str) -> None:
+    """Write each row of table as parts[0], column 0, parts[1], ..., parts[-1].
+
+    Rows are joined by sep.  strings maps a list of Python floats (not
+    np.float64, whose repr differs) to their texts.  Columns are compared by
+    their bits (an int64 view, so 0.0 and -0.0 differ), and in each block a
+    column is written by the first rule that fits:
+
+    1. constant in the block (lo == hi): formatted once, into the row's text;
+    2. equal to an earlier column: reuses its strings;
+    3. the negation of an earlier column (its bits with the sign flipped):
+       reuses its strings with the leading "-" dropped or added, which is
+       how both %.17g and repr print -x, 0 and -0 included, for every
+       finite x (_check_finite runs before every write);
+    4. spanning fewer than n ulps (hi - lo < n in Python ints, so lo and hi
+       have one sign): each distinct value is formatted once, then indexed;
+    5. otherwise every value is formatted.
+
+    All five give each value the text strings gives it.  One join then
+    builds the block's text at its exact size: one % call for the whole
+    block grows a buffer to a varying final size, and over repeated calls
+    its freed fragments raised peak memory.
     """
-    parts = row.split(fmt)
     for start in range(0, len(table), _BLOCK):
-        block = table[start:start + _BLOCK]
-        n, bits = len(block), block.view(np.int64)
-        const = (bits == bits[0]).all(axis=0)
+        # one contiguous row per column: reductions along it are several times faster
+        bits = np.ascontiguousarray(table[start:start + _BLOCK].view(np.int64).T)
+        n = bits.shape[1]
+        lo, hi = bits.min(1).tolist(), bits.max(1).tolist()
         cols, lits, seen = [], [parts[0]], {}
         for j, part in enumerate(parts[1:]):
-            if const[j]:
-                lits[-1] += fmt % block[0, j].item() + part  # a Python float: %r of np.float64 differs
+            col = bits[j]
+            if lo[j] == hi[j]:
+                lits[-1] += strings(col[:1].view(np.float64).tolist())[0] + part
                 continue
-            key = bits[:, j].tobytes()
+            key = col.tobytes()
             if key not in seen:
-                seen[key] = ("\n".join([fmt] * n) % tuple(block[:, j].tolist())).split("\n")
+                negated = seen.get((col ^ _SIGN_BIT).tobytes())
+                if negated is not None:
+                    seen[key] = [t[1:] if t[0] == "-" else "-" + t for t in negated]
+                elif hi[j] - lo[j] < n:
+                    distinct, index = np.unique(col, return_inverse=True)
+                    texts = strings(distinct.view(np.float64).tolist())
+                    seen[key] = [texts[i] for i in index.tolist()]
+                else:
+                    seen[key] = strings(col.view(np.float64).tolist())
             cols.append(seen[key])
             lits.append(part)
         stride = 2 * len(cols) + 1  # a row: literal, column, literal, ..., column, literal
@@ -118,14 +150,14 @@ def _write_rows(out, table: np.ndarray, row: str, fmt: str, sep: str) -> None:
 def _write_csv(out, header: str, table: np.ndarray) -> None:
     # "%.17g" formats exactly like _fmt and round-trips every double.
     out.write(header + "\n")
-    _write_rows(out, table, ",".join(["%.17g"] * table.shape[1]) + "\n", "%.17g", "")
+    _write_rows(out, table, ["", *[","] * (table.shape[1] - 1), "\n"], _g17_strings, "")
 
 
 def _write_json(out, doc: dict, table: np.ndarray, row: str) -> None:
-    # The bytes of json.dump(doc | {"samples": rows}): json writes a finite
-    # float as float.__repr__, which is what %r gives.
+    # The bytes of json.dump(doc | {"samples": rows}), row holding one %r per
+    # column: json writes a finite float as float.__repr__.
     out.write(json.dumps({**doc, "samples": []})[:-2])
-    _write_rows(out, table, row, "%r", ", ")
+    _write_rows(out, table, row.split("%r"), _repr_strings, ", ")
     out.write("]}\n")
 
 

@@ -17,6 +17,7 @@ but `frenet_residual` returns arrays equal to the scalar results bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ def frenet_residual(curve, s: float, h: float = 1e-5) -> tuple[float, float, flo
     Galilean norms of T' - kappa*N, N' - tau*B and B' + tau*N; each is
     O(h**2) for smooth curves.  Requires kappa != 0 at s - h, s, s + h.
     """
-    if h <= 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step h must be positive and finite, got {h}")
     lo = frenet_frame(curve, s - h)
     mid = frenet_frame(curve, s)
     hi = frenet_frame(curve, s + h)

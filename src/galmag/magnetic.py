@@ -169,6 +169,18 @@ def _basis(omega: float, s, order: int):
     return sigma, ch, sh, t, s * _x_minus_sin_over_x2(x)
 
 
+def _add_product(x: float, w: float, y: float) -> float:
+    """x + w*y, formed at half scale where w*y alone overflows but the sum may not.
+
+    Halving and doubling are exact away from underflow, and the half-scale
+    form runs only where the direct sum is not finite.
+    """
+    total = x + w * y
+    if math.isfinite(total):
+        return total
+    return 2.0 * (0.5 * x + (0.5 * w) * y)
+
+
 @dataclass(frozen=True)
 class QuadSinusoid:
     """Scalar function c0 + c1*s + p*C1 + q*S1 + u*C2 + v*S2 of frequency omega.
@@ -204,8 +216,8 @@ class QuadSinusoid:
             c, sn, t, ch, sh = basis
             return self.c1 + self.p * c + self.q * sn + t * (self.u * ch + self.v * sh)
         c, sn = basis
-        a = self.u + self.omega * self.q
-        b = self.v - self.omega * self.p
+        a = _add_product(self.u, self.omega, self.q)
+        b = _add_product(self.v, -self.omega, self.p)
         if order == 2:
             return a * c + b * sn
         return self.omega * (b * c - a * sn)

@@ -505,6 +505,19 @@ class TestFrenet:
             want = [s, *f.T.as_tuple(), *f.N.as_tuple(), *f.B.as_tuple(), f.kappa, f.tau]
             assert list(map(float.hex, got)) == list(map(float.hex, want))  # -0.0 too
 
+    def test_acceleration_whose_product_overflows(self, capsys):
+        # v1*Y0 overflows, v2 - v1*Y0 does not: this exited 2 with invalid-input (kappa0 ...)
+        code, out, err = run(capsys, ["frenet", "--mode=magnetic", "--v=-2,1.5e308,-3e-162",
+                                      "--ic=y0=-2,Y0=-1e308,z0=1e-320", "--range=-1:0.001",
+                                      "--samples=17"])
+        assert code == 0, err
+        assert err == ""
+        table = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        assert table.shape == (17, 12)
+        assert np.isfinite(table).all()
+        assert np.allclose(table[:, 10], 5e307, rtol=1e-15, atol=0)  # kappa
+        assert np.allclose(table[:, 11], -2, rtol=1e-15, atol=0)  # tau = v1
+
     def test_straight_line_rejected_at_start(self, capsys):
         code, _, err = run(
             capsys,
@@ -670,14 +683,15 @@ SPECIAL = [0.0, -0.0, 5e-324, 2.225e-308, 1.5e308, -1.5e308, 0.1, 1.0]
 
 @st.composite
 def tables(draw):
-    """Finite float tables whose blocks mix literal, shared and formatted columns."""
+    """Finite float tables whose blocks mix literal, shared, negated, few-valued and
+    formatted columns."""
     n = draw(st.sampled_from([1, 1023, 1024, 1025, 2049]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = SPECIAL + draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
     columns = []
     for _ in range(draw(st.sampled_from([1, 4, 12]))):
-        kind = draw(st.sampled_from(["constant", "signed-zero", "duplicate", "first-block",
-                                     "pool", "wide"]))
+        kind = draw(st.sampled_from(["constant", "signed-zero", "duplicate", "negated",
+                                     "first-block", "pool", "few-ulps", "wide"]))
         if kind == "constant":
             col = np.full(n, draw(st.sampled_from(pool)))
         elif kind == "signed-zero":
@@ -687,6 +701,18 @@ def tables(draw):
             col = columns[draw(st.integers(0, len(columns) - 1))].copy()
             if draw(st.booleans()):
                 col[1024:] = rng.choice(pool, max(n - 1024, 0))  # equal in the first block only
+        elif kind == "negated" and columns:  # -0.0 for 0.0 and back
+            col = -columns[draw(st.integers(0, len(columns) - 1))]
+            if draw(st.booleans()):
+                col[1024:] = rng.choice(pool, max(n - 1024, 0))  # negated in the first block only
+        elif kind == "few-ulps":  # fewer or more distinct ulps than a block has rows
+            base = draw(st.sampled_from([0.0, -0.0, 1e-310, 1.5e308, -1.5e308]))
+            span = draw(st.sampled_from([2, 16, 1023, 1024, 1025, 5000]))
+            offsets = rng.integers(0, span, n)
+            if draw(st.booleans()):
+                offsets -= span // 2  # below the base too: across zero for a zero base
+            ulp = math.copysign(np.spacing(abs(base)), base)  # away from zero
+            col = np.where(offsets == 0, base, base + offsets * ulp)
         elif kind == "first-block":  # constant in the first block, not in the next
             col = rng.choice(pool, n)
             col[:1024] = draw(st.sampled_from(pool))

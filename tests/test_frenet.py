@@ -142,10 +142,11 @@ class TestFrenetResidual:
         assert r3 < 1e-6
 
     def test_invalid_step_rejected(self):
-        with pytest.raises(ValueError):
-            frenet_residual(PARABOLA, 0.5, h=0.0)
-        with pytest.raises(ValueError):
-            frenet_residual(PARABOLA, 0.5, h=-1e-5)
+        # nan gave (nan, nan, nan), and so did inf but on a helix: a math domain error
+        for curve in (PARABOLA, HELIX):
+            for h in (0.0, -1e-5, math.nan, math.inf):
+                with pytest.raises(ValueError, match="step h must be positive and finite"):
+                    frenet_residual(curve, 0.5, h=h)
 
     def test_zero_curvature_raises(self):
         with pytest.raises(ZeroCurvature):

@@ -143,6 +143,19 @@ class TestSolveMagnetic:
         with pytest.raises(ValueError, match="kappa0"):
             solve_magnetic(field, ic)
 
+    def test_acceleration_whose_product_overflows(self):
+        # v1*Y0 = 2e308 overflows, but y'' = v2 - v1*Y0 at s = 0 is -5e307
+        crv = solve_magnetic(KillingField(-2, 1.5e308, -3e-162), MagneticIC(-2, -1e308, 1e-320, 0))
+        assert crv.kappa0 == 5e307
+        with mp.workdps(50):
+            for s in (-1.0, -0.3, 0.0, 0.001):
+                ref = reference_derivatives(crv, s)
+                for k in (2, 3):
+                    got = crv.eval(s, k)
+                    assert math.isfinite(got.x2) and math.isfinite(got.x3)
+                    err = max(abs(got.x2 - ref[k].real), abs(got.x3 - ref[k].imag))
+                    assert err <= 8 * 2.0**-52 * abs(ref[k]), (s, k)
+
     def test_overflowing_v1_straight_line(self):
         # v1*v1 overflows, but with zero data every term still vanishes
         crv = solve_magnetic(KillingField(1e308, 0, 0), MagneticIC(0, 0, 0, 0))
