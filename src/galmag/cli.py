@@ -3,8 +3,7 @@
 Sample data goes to stdout (or --output); diagnostics go to stderr so
 pipelines stay clean.  Exit codes: 0 success, 1 verification failed,
 2 invalid input or an output value that is not finite (with a one-line
-``error: <reason>`` on stderr).  A warning is one ``warning: <message>``
-line on stderr.
+``error: <reason>`` on stderr).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import math
 import os
 import re
 import sys
-import warnings
 from contextlib import nullcontext
 from dataclasses import astuple
 
@@ -404,10 +402,6 @@ _REASONS = {IncompatibleIC: "incompatible-ic", ZeroCurvature: "zero-curvature",
             NonFiniteState: "nonfinite-state"}
 
 
-def _show_warning(message, *_):
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -416,9 +410,7 @@ def main(argv=None) -> int:
     command = {"solve": _cmd_solve, "verify": _cmd_verify, "frenet": _cmd_frenet}
     try:
         # numpy's floating-point warnings name no input; the commands check their output
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("default")
-            warnings.showwarning = _show_warning
+        with np.errstate(all="ignore"):
             return command[args.command](args)
     except _CliError as exc:
         print(exc.line(), file=sys.stderr)

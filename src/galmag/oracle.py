@@ -19,7 +19,9 @@ constants; none of these raises or turns complex once a state overflows.
 The step runs as one loop generated per traced right-hand side, with its
 operations written inline and unrolled over the components.  It performs
 the textbook loop's floating-point operations in the textbook order, so its
-states equal that loop's bit for bit.
+states equal that loop's bit for bit.  The states are stored flat, in one
+float64 array, and `max_deviation` compares them in fixed row chunks, so a
+long window costs little memory beyond its 8 bytes per component and step.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ _CONTRACT = ("rhs must be arithmetic (+ - *, unary -) on the state values and in
 _MAX_OPS = 150
 # steps between the kernel's overflow checks
 _BLOCK = 1024
+# grid rows max_deviation compares at once: bounds its temporaries
+_CHUNK = 4096
 
 
 def _const(consts: list, value) -> str:
@@ -154,60 +158,71 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
         t = st + inc;  comp = (t - st) - inc;  st = t
 
     so the states match that loop bit for bit; only the RHS calls, the stage
-    tuples and the stage components no expression reads are gone, and the
-    stages of a component that reads no state are computed before the loop.
-    The constants are bound to q0, q1, ... from the list `consts`, so no
-    value passes through source text.  The states are stored flat.  Overflow
-    is checked once per _BLOCK steps: a non-finite component stays so.
+    tuples and copies, and the stage components no expression reads are gone.
+    Each stage reads its own points (x, pb, pc, pd) and every increment is
+    taken before any state moves, so a derivative that is a bare state read
+    names that point.  A component that reads no state has its stages taken
+    before the loop, and its pb serves as its equal pc.  The constants are
+    bound to q0, q1, ... from the list `consts`, so no value passes through
+    source text.  `run` writes the states block by block into the flat
+    float64 array `out` after its first row, checks for overflow once per
+    _BLOCK steps (a non-finite component stays so) and returns the rows
+    written.
     """
     m = len(exprs)
-    x, p = [f"x{j}" for j in range(m)], [f"p{j}" for j in range(m)]
-    read = [j for j in range(m) if any(f"{{x[{j}]}}" in e for e in exprs)]
+    x = [f"x{j}" for j in range(m)]
     free = [j for j in range(m) if "{x[" not in exprs[j]]
+    read = [j for j in range(m) if any(f"{{x[{j}]}}" in e for e in exprs)]
+    bare = {f"{{x[{j}]}}": j for j in range(m)}
+    pts = {"a": x, "b": [f"pb{j}" for j in range(m)], "d": [f"pd{j}" for j in range(m)],
+           "c": [f"pb{j}" if j in free else f"pc{j}" for j in range(m)]}
+    # each component's derivative at each stage, named f{j} where it reads no state
+    ks = {s: [f"f{j}" if j in free else pts[s][bare[e]] if e in bare else f"{s}{j}"
+              for j, e in enumerate(exprs)] for s in "abcd"}
 
-    def stage(letter, names):
-        return [f"            {letter}{j} = {e.format(x=names)}"
-                for j, e in enumerate(exprs) if j not in free]
+    def stage(s):
+        return [f"            {s}{j} = {e.format(x=pts[s])}"
+                for j, e in enumerate(exprs) if ks[s][j] == f"{s}{j}"]
 
-    def point(scale, letter):
-        return [f"            p{j} = x{j} + {scale} * {letter}{j}" for j in read]
+    def point(s, scale, prev):
+        return [f"            {pts[s][j]} = x{j} + {scale} * {ks[prev][j]}"
+                for j in read if s != "c" or j not in free]
 
+    weights = [f"w{j}" if j in free else "({} + 2.0 * ({} + {}) + {})".format(
+        *(ks[s][j] for s in "abcd")) for j in range(m)]
     row = f"({''.join(f'{name}, ' for name in x)})"
     lines = [
-        "def run(grid, st, consts):",
+        "def run(grid, st, consts, out):",
         "    isfinite = math.isfinite",
         f"    [{', '.join(f'q{i}' for i in range(n_consts))}] = consts",
         f"    [{', '.join(x)}] = st",
         *(f"    e{j} = 0.0" for j in range(m)),
-        *(f"    a{j} = b{j} = c{j} = d{j} = {exprs[j]}" for j in free),
-        *(f"    w{j} = a{j} + 2.0 * (b{j} + c{j}) + d{j}" for j in free),
+        *(f"    f{j} = {exprs[j]}" for j in free),
+        *(f"    w{j} = f{j} + 2.0 * (f{j} + f{j}) + f{j}" for j in free),
         "    sixth = 1.0 / 6.0",
-        "    states = list(st)",
-        "    extend = states.extend",
-        "    s_prev = grid[0]",
+        "    block = []",
+        "    extend = block.extend",
+        "    s_prev = float(grid[0])",
         f"    for start in range(1, len(grid), {_BLOCK}):",
-        f"        for s_next in grid[start:start + {_BLOCK}]:",
+        f"        stop = min(start + {_BLOCK}, len(grid))",
+        "        for s_next in grid[start:stop].tolist():",
         "            h = s_next - s_prev",
         "            half = 0.5 * h",
         "            h6 = h * sixth",
-        *stage("a", x), *point("half", "a"), *stage("b", p), *point("half", "b"),
-        *stage("c", p), *point("h", "c"), *stage("d", p),
-    ]
-    for j in range(m):
-        weights = f"w{j}" if j in free else f"(a{j} + 2.0 * (b{j} + c{j}) + d{j})"
-        lines += [
-            f"            i{j} = h6 * {weights} - e{j}",
-            f"            t{j} = x{j} + i{j}",
-            f"            e{j} = (t{j} - x{j}) - i{j}",
-            f"            x{j} = t{j}",
-        ]
-    lines += [
+        *stage("a"), *point("b", "half", "a"), *stage("b"), *point("c", "half", "b"),
+        *stage("c"), *point("d", "h", "c"), *stage("d"),
+        *(f"            i{j} = h6 * {w} - e{j}" for j, w in enumerate(weights)),
+        *(line for j in range(m) for line in (f"            t{j} = x{j} + i{j}",
+                                              f"            e{j} = (t{j} - x{j}) - i{j}",
+                                              f"            x{j} = t{j}")),
         f"            extend({row})",
         "            s_prev = s_next",
+        f"        out[{m} * start:{m} * stop] = block",
+        "        block.clear()",
         # a finite sum proves every component finite; otherwise look closer
         f"        if not isfinite({' + '.join(x) or '0.0'}) and not all(map(isfinite, {row})):",
         "            break",
-        "    return states",
+        "    return stop",
     ]
     namespace = {"math": math}
     exec("\n".join(lines), namespace)
@@ -237,7 +252,8 @@ def integrate(
     Returns
     -------
     SampledCurve
-        States at every grid point, including the initial one.
+        States at every grid point, including the initial one, stored flat:
+        one float64 array written by the loop, viewed as (n, m) rows.
 
     Raises
     ------
@@ -262,14 +278,14 @@ def integrate(
     # accumulate enough rounding to mask the O(step**4) truncation error
     # that the convergence check measures.  The step h is taken from the
     # grid at every step: the spacing differs in the last bits.
-    points = grid.tolist()
-    states = _rk4_kernel(exprs, len(consts))(points, state, consts)
-    flat = np.fromiter(states, float, len(states))
-    finite = np.isfinite(flat[m:])
+    flat = np.empty(len(grid) * m)
+    flat[:m] = state
+    rows = _rk4_kernel(exprs, len(consts))(grid, state, consts, flat)
+    finite = np.isfinite(flat[m:m * rows])
     if not finite.all():
-        s = points[int(finite.argmin()) // m + 1]
+        s = float(grid[int(finite.argmin()) // m + 1])
         raise NonFiniteState(f"state became non-finite at s = {s}", s)
-    return SampledCurve(grid=grid, states=flat.reshape(len(points), m))
+    return SampledCurve(grid=grid, states=flat.reshape(len(grid), m))
 
 
 def max_deviation(
@@ -300,10 +316,11 @@ def max_deviation(
     if dim not in (4, 6):
         raise ValueError(f"state dimension must be 4 or 6, got {dim}")
     orders = (0,) if components == "position" else (0, 1) if dim == 4 else (0, 1, 2)
+    grid, states = sampled.grid, sampled.states
     devs = [
-        np.abs(sampled.states[:, 2 * order:2 * order + 2]
-               - closed.eval(sampled.grid, order)[:, 1:]).max()
-        for order in orders
+        np.abs(states[start:start + _CHUNK, 2 * order:2 * order + 2]
+               - closed.eval(grid[start:start + _CHUNK], order)[:, 1:]).max()
+        for start in range(0, len(grid), _CHUNK) for order in orders
     ]
     # numpy's max, unlike Python's, passes on a nan in any position
     return float(np.max(devs))
@@ -340,8 +357,9 @@ def verify(
     if s_end > 0.0:
         sampled = integrate(rhs, initial, IntegratorConfig(0.0, s_end, step))
         if s_start > 0.0:
-            inside = sampled.grid >= s_start
-            sampled = SampledCurve(sampled.grid[inside], sampled.states[inside])
+            # the grid ascends, so the window is a slice: views, not copies of the states
+            first = int(np.searchsorted(sampled.grid, s_start))
+            sampled = SampledCurve(sampled.grid[first:], sampled.states[first:])
         deviation = max_deviation(curve, sampled)
     if s_start < 0.0:
         try:
@@ -352,8 +370,8 @@ def verify(
             )
         except NonFiniteState as exc:
             raise NonFiniteState(f"state became non-finite at s = {-exc.s}", -exc.s) from None
-        inside = back.grid >= -s_end
-        sampled = SampledCurve(-back.grid[inside], back.states[inside])
+        first = int(np.searchsorted(back.grid, -s_end))
+        sampled = SampledCurve(-back.grid[first:], back.states[first:])
         deviation = float(np.maximum(deviation, max_deviation(curve, sampled)))
 
     probes = np.linspace(s_start, s_end, VERIFY_SAMPLES)

@@ -3,7 +3,7 @@
 Every command ends in one of three ways: exit 0 with finite output, exit 1
 from ``verify`` (verification failed), or exit 2 with exactly one
 ``error:`` line on stderr and nothing on stdout.  No exception escapes
-``main`` and every warning is one ``warning:`` line.
+``main``, and numpy's floating-point warnings never reach stderr.
 
 The values mix ordinary numbers with the magnitudes where the arithmetic
 breaks: 1e308 overflows when scaled, 1.5e308 already in a norm, 1e-200

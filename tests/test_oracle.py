@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 from functools import partial, reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from galmag.magnetic import (
     solve_n_magnetic,
 )
 from galmag.oracle import (
+    _CHUNK,
     IntegratorConfig,
     SampledCurve,
     grid_points,
@@ -439,6 +443,58 @@ class TestMaxDeviation:
             max_deviation(crv, sampled)
 
 
+def _unchunked_deviation(closed, sampled, components):
+    """max_deviation's formula over the whole grid at once."""
+    orders = (0,) if components == "position" else range(sampled.dim // 2)
+    return float(np.max([
+        np.abs(sampled.states[:, 2 * order:2 * order + 2]
+               - closed.eval(sampled.grid, order)[:, 1:]).max()
+        for order in orders
+    ]))
+
+
+class TestMaxDeviationChunks:
+    """max_deviation compares _CHUNK grid rows at a time; no result may show it."""
+
+    CURVES = {
+        4: solve_magnetic(KillingField(1, 0.5, 0.7), MagneticIC(1, 2, -1, 0.5)),
+        6: solve_n_magnetic(KillingField(-2, 0.4, 1), NMagneticIC(0.5, -1, 0.8, 2, 0.3, -0.6)),
+    }
+
+    def _noisy_samples(self, dim, rows, seed):
+        # the exact states off by up to 1e-9, on a window of either sign
+        grid = np.linspace(-1.5, 4.0, rows)
+        exact = [self.CURVES[dim].eval(grid, order)[:, 1:] for order in range(dim // 2)]
+        noise = np.random.default_rng(seed).uniform(-1e-9, 1e-9, (rows, dim))
+        return SampledCurve(grid=grid, states=np.hstack(exact) + noise)
+
+    @pytest.mark.parametrize("rows", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+    @pytest.mark.parametrize("dim", [4, 6])
+    @pytest.mark.parametrize("components", ["position", "full"])
+    def test_bit_equal_to_unchunked(self, rows, dim, components):
+        crv = self.CURVES[dim]
+        sampled = self._noisy_samples(dim, rows, seed=rows + dim)
+        want = _unchunked_deviation(crv, sampled, components)
+        assert max_deviation(crv, sampled, components) == want
+        # the worst row on either side of each chunk boundary, and at both ends
+        for row in sorted({0, _CHUNK - 1, _CHUNK, 2 * _CHUNK, rows - 1} & set(range(rows))):
+            spiked = SampledCurve(sampled.grid, sampled.states.copy())
+            spiked.states[row, row % 2] += 1e-6
+            want = _unchunked_deviation(crv, spiked, components)
+            assert want > 1e-7
+            assert max_deviation(crv, spiked, components) == want
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_nan_in_a_middle_chunk_gives_nan(self, dim):
+        crv = self.CURVES[dim]
+        sampled = self._noisy_samples(dim, 2 * _CHUNK + 1, seed=dim)
+        sampled.states[_CHUNK + 7, 2:] = math.nan  # derivatives only
+        assert not math.isnan(max_deviation(crv, sampled))
+        assert math.isnan(max_deviation(crv, sampled, components="full"))
+        sampled.states[_CHUNK + 7, 1] = math.nan
+        assert math.isnan(max_deviation(crv, sampled))
+
+
 class TestVerify:
     def test_deviation_equals_integrating_the_raw_system(self):
         mag_field, mag_ic = KillingField(1.5, -0.3, 0.8), MagneticIC(1, 2, -1, 0.5)
@@ -466,3 +522,31 @@ class TestVerify:
         crv = solve_magnetic(KillingField(1, 0, 0), MagneticIC(0, 0, 0, 1))
         with pytest.raises(ValueError):
             verify(crv, 1.0, 1.0)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+    @pytest.mark.parametrize("window", ["0.0, 200.0", "-200.0, 0.0"])
+    def test_long_window_memory_stays_near_its_states(self, window):
+        # the 200,001 six-component states hold 9.6 MB; the grid, one RK4 block
+        # and one max_deviation chunk add little to them, forward or backward.
+        # The child reads its own peak RSS (VmHWM, in kB): its ru_maxrss would
+        # start near this process's, which Linux carries into a child across exec.
+        script = f"""
+from galmag.magnetic import KillingField, NMagneticIC, solve_n_magnetic
+from galmag.oracle import verify
+def peak():
+    with open("/proc/self/status") as status:
+        return int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
+curve = solve_n_magnetic(KillingField(1, 0.5, 0.7), NMagneticIC(0, 0, 0.5, 0, 0, -0.6))
+verify(curve, 0.0, 1.0)  # warm-up: imports, the generated kernel, numpy's first buffers
+before = peak()
+verify(curve, {window})
+print(peak() - before)
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        states_bytes = 200_001 * 6 * 8
+        assert int(proc.stdout) * 1024 < 2 * states_bytes
