@@ -37,7 +37,10 @@ from galmag.oracle import IntegratorConfig, grid_points, integrate, verify  # no
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_RK4_STEP = 1e-3
 DEFAULT_SAMPLES = 201
-MAX_SAMPLES = 10**7  # output grids hold a dozen n-length columns at once
+# a table holds a dozen n-length columns at once: 1,000,000 samples peak at
+# 345 MB for frenet and 122-129 MB for solve (Python 3.11, x86-64 Linux), so
+# a table at this limit needs about 1.2-3.4 GB
+MAX_SAMPLES = 10**7
 _BLOCK = 1024  # rows per write: bounds the Python objects and text held at once
 _SIGN_BIT = np.int64(-1 << 63)  # the sign bit of a float64 seen as int64
 

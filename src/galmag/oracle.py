@@ -19,9 +19,11 @@ constants; none of these raises or turns complex once a state overflows.
 The step runs as one loop generated per traced right-hand side, with its
 operations written inline and unrolled over the components.  It performs
 the textbook loop's floating-point operations in the textbook order, so its
-states equal that loop's bit for bit.  The states are stored flat, in one
-float64 array, and `max_deviation` compares them in fixed row chunks, so a
-long window costs little memory beyond its 8 bytes per component and step.
+states equal that loop's bit for bit.  The loop runs in chunks of _RK4_CHUNK
+grid rows, each resumed from the state and compensations the last one
+handed back and written into one reused buffer.  `verify` folds each chunk
+into the deviation as it comes, so its memory is constant however long the
+window; `integrate` copies the chunks into the whole window's states.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,15 +83,25 @@ class SampledCurve:
         return self.states.shape[1]
 
 
-def grid_points(cfg: IntegratorConfig) -> np.ndarray:
-    """Points s_start + i*step, then s_end if they miss it (a shorter last step)."""
+def _grid_size(cfg: IntegratorConfig) -> tuple[int, int]:
+    """(n, rows): grid_points(cfg) is the `rows` points s_start + i*step for
+    i = 0..n, then s_end if they miss it."""
     n = int((cfg.s_end - cfg.s_start) / cfg.step)
     while n > 0 and cfg.s_start + n * cfg.step > cfg.s_end:
         n -= 1
-    grid = cfg.s_start + np.arange(n + 1) * cfg.step
-    if grid[-1] < cfg.s_end:
-        grid = np.append(grid, cfg.s_end)
-    return grid
+    return n, n + 1 + (cfg.s_start + n * cfg.step < cfg.s_end)
+
+
+def _grid_rows(cfg: IntegratorConfig, n: int, lo: int, hi: int) -> np.ndarray:
+    """Points lo..hi-1 of grid_points(cfg), whose last uniform point is n."""
+    points = cfg.s_start + np.arange(lo, min(hi, n + 1)) * cfg.step
+    return np.append(points, cfg.s_end) if hi > n + 1 else points
+
+
+def grid_points(cfg: IntegratorConfig) -> np.ndarray:
+    """Points s_start + i*step, then s_end if they miss it (a shorter last step)."""
+    n, rows = _grid_size(cfg)
+    return _grid_rows(cfg, n, 0, rows)
 
 
 _CONTRACT = ("rhs must be arithmetic (+ - *, unary -) on the state values and int or "
@@ -100,6 +112,10 @@ _MAX_OPS = 150
 _BLOCK = 1024
 # grid rows max_deviation compares at once: bounds its temporaries
 _CHUNK = 4096
+# grid rows per RK4 chunk: bounds the states verify holds, 128 KB per state
+# component.  Each chunk's comparison with the closed form starts on cold
+# caches, which made verify 3 % slower with chunks of 4096 rows.
+_RK4_CHUNK = 16384
 
 
 def _const(consts: list, value) -> str:
@@ -164,10 +180,11 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
     names that point.  A component that reads no state has its stages taken
     before the loop, and its pb serves as its equal pc.  The constants are
     bound to q0, q1, ... from the list `consts`, so no value passes through
-    source text.  `run` writes the states block by block into the flat
-    float64 array `out` after its first row, checks for overflow once per
-    _BLOCK steps (a non-finite component stays so) and returns the rows
-    written.
+    source text.  `run` resumes from the state `st` at grid[0] with the Kahan
+    compensations `comp`, writes the states at grid[1:] block by block into
+    the flat float64 array `out`, checks for overflow once per _BLOCK steps (a
+    non-finite component stays so) and returns the rows written and the last
+    state and compensations, from which the next grid resumes.
     """
     m = len(exprs)
     x = [f"x{j}" for j in range(m)]
@@ -191,12 +208,13 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
     weights = [f"w{j}" if j in free else "({} + 2.0 * ({} + {}) + {})".format(
         *(ks[s][j] for s in "abcd")) for j in range(m)]
     row = f"({''.join(f'{name}, ' for name in x)})"
+    comp = f"({''.join(f'e{j}, ' for j in range(m))})"
     lines = [
-        "def run(grid, st, consts, out):",
+        "def run(grid, st, comp, consts, out):",
         "    isfinite = math.isfinite",
         f"    [{', '.join(f'q{i}' for i in range(n_consts))}] = consts",
         f"    [{', '.join(x)}] = st",
-        *(f"    e{j} = 0.0" for j in range(m)),
+        f"    [{', '.join(f'e{j}' for j in range(m))}] = comp",
         *(f"    f{j} = {exprs[j]}" for j in free),
         *(f"    w{j} = f{j} + 2.0 * (f{j} + f{j}) + f{j}" for j in free),
         "    sixth = 1.0 / 6.0",
@@ -217,12 +235,12 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
                                               f"            x{j} = t{j}")),
         f"            extend({row})",
         "            s_prev = s_next",
-        f"        out[{m} * start:{m} * stop] = block",
+        f"        out[{m} * (start - 1):{m} * (stop - 1)] = block",
         "        block.clear()",
         # a finite sum proves every component finite; otherwise look closer
         f"        if not isfinite({' + '.join(x) or '0.0'}) and not all(map(isfinite, {row})):",
         "            break",
-        "    return stop",
+        f"    return stop - 1, {row}, {comp}",
     ]
     namespace = {"math": math}
     exec("\n".join(lines), namespace)
@@ -252,8 +270,8 @@ def integrate(
     Returns
     -------
     SampledCurve
-        States at every grid point, including the initial one, stored flat:
-        one float64 array written by the loop, viewed as (n, m) rows.
+        States at every grid point, including the initial one, as (n, m)
+        float64 rows.
 
     Raises
     ------
@@ -262,6 +280,24 @@ def integrate(
         math.sin on it, ...).
     NonFiniteState
         If the state leaves the finite range during integration.
+    """
+    grid = grid_points(cfg)
+    states = np.empty((len(grid), len(initial)))
+    row = 0
+    for chunk in _rk4_chunks(rhs, initial, cfg):
+        states[row:row + len(chunk.grid)] = chunk.states
+        row += len(chunk.grid)
+    return SampledCurve(grid=grid, states=states)
+
+
+def _rk4_chunks(
+    rhs: Callable[[tuple], tuple], initial: Sequence[float], cfg: IntegratorConfig
+) -> Iterator[SampledCurve]:
+    """`integrate`'s RK4, yielded in order as chunks of at most _RK4_CHUNK rows.
+
+    Each chunk's states are a view of one buffer that the next chunk
+    overwrites, and its grid is computed on its own, so the loop holds no
+    array whose size grows with the window.  Raises as `integrate` does.
     """
     state = tuple([float(w) for w in initial])
     m = len(state)
@@ -273,19 +309,27 @@ def integrate(
         exprs = tuple(k.src if isinstance(k, _Sym) else _const(consts, k) for k in deriv)
     except TypeError as exc:
         raise TypeError(f"{_CONTRACT} ({exc})") from None
-    grid = grid_points(cfg)
+    run = _rk4_kernel(exprs, len(consts))
+    n, rows = _grid_size(cfg)
     # Kahan-compensated state updates: over ~1e5 steps the plain additions
     # accumulate enough rounding to mask the O(step**4) truncation error
     # that the convergence check measures.  The step h is taken from the
     # grid at every step: the spacing differs in the last bits.
-    flat = np.empty(len(grid) * m)
-    flat[:m] = state
-    rows = _rk4_kernel(exprs, len(consts))(grid, state, consts, flat)
-    finite = np.isfinite(flat[m:m * rows])
-    if not finite.all():
-        s = float(grid[int(finite.argmin()) // m + 1])
-        raise NonFiniteState(f"state became non-finite at s = {s}", s)
-    return SampledCurve(grid=grid, states=flat.reshape(len(grid), m))
+    comp = (0.0,) * m
+    buf = np.empty(min(rows, _RK4_CHUNK) * m)
+    buf[:m] = state
+    for lo in range(0, rows, _RK4_CHUNK):
+        hi = min(lo + _RK4_CHUNK, rows)
+        # the first chunk's first row is the initial state; a later chunk's
+        # grid starts one row early, at the point of the state it resumes from
+        head = int(lo == 0)
+        grid = _grid_rows(cfg, n, lo - 1 + head, hi)
+        done, state, comp = run(grid, state, comp, consts, buf[m * head:])
+        if not all(map(math.isfinite, state)):
+            finite = np.isfinite(buf[m * head:m * (head + done)])
+            s = float(grid[int(finite.argmin()) // m + 1])
+            raise NonFiniteState(f"state became non-finite at s = {s}", s)
+        yield SampledCurve(grid[1 - head:], buf[:m * (hi - lo)].reshape(hi - lo, m))
 
 
 def max_deviation(
@@ -326,6 +370,27 @@ def max_deviation(
     return float(np.max(devs))
 
 
+def _deviation(
+    curve: ClosedFormCurve,
+    rhs: Callable[[tuple], tuple],
+    initial: Sequence[float],
+    cfg: IntegratorConfig,
+    u_first: float,
+    sign: float = 1.0,
+) -> float:
+    """max_deviation of the curve at s = sign*u from RK4 on cfg's grid of u,
+    over the points u >= u_first, folded chunk by chunk."""
+    deviation = 0.0
+    for chunk in _rk4_chunks(rhs, initial, cfg):
+        # the grid ascends, so the rows before the window lead each chunk
+        first = int(np.searchsorted(chunk.grid, u_first))
+        if first < len(chunk.grid):
+            sampled = SampledCurve(sign * chunk.grid[first:], chunk.states[first:])
+            # numpy's maximum, unlike Python's max, passes on a nan
+            deviation = np.maximum(deviation, max_deviation(curve, sampled))
+    return float(deviation)
+
+
 def verify(
     curve: ClosedFormCurve, s_start: float, s_end: float, step: float = 1e-3
 ) -> dict[str, float]:
@@ -339,7 +404,9 @@ def verify(
     over VERIFY_SAMPLES probes, ``residual`` (force equation),
     ``curvature_spread`` and for a helix ``helix_spread`` (distance to the
     axis minus the radius).  Raises NonFiniteState, with the curve's s, if
-    the RK4 state overflows.
+    the RK4 state overflows.  RK4 runs chunk by chunk and each chunk's
+    deviation is folded in as it comes, so no array grows with the window:
+    the memory verify needs is constant.
     """
     if not s_end > s_start:
         raise ValueError(f"s_end must exceed s_start, got [{s_start}, {s_end}]")
@@ -355,24 +422,14 @@ def verify(
 
     deviation = 0.0
     if s_end > 0.0:
-        sampled = integrate(rhs, initial, IntegratorConfig(0.0, s_end, step))
-        if s_start > 0.0:
-            # the grid ascends, so the window is a slice: views, not copies of the states
-            first = int(np.searchsorted(sampled.grid, s_start))
-            sampled = SampledCurve(sampled.grid[first:], sampled.states[first:])
-        deviation = max_deviation(curve, sampled)
+        deviation = _deviation(curve, rhs, initial, IntegratorConfig(0.0, s_end, step), s_start)
     if s_start < 0.0:
         try:
-            back = integrate(
-                lambda state: tuple([-k for k in rhs(state)]),
-                initial,
-                IntegratorConfig(0.0, -s_start, step),
-            )
+            back = _deviation(curve, lambda state: tuple([-k for k in rhs(state)]), initial,
+                              IntegratorConfig(0.0, -s_start, step), -s_end, sign=-1.0)
         except NonFiniteState as exc:
             raise NonFiniteState(f"state became non-finite at s = {-exc.s}", -exc.s) from None
-        first = int(np.searchsorted(back.grid, -s_end))
-        sampled = SampledCurve(-back.grid[first:], back.states[first:])
-        deviation = float(np.maximum(deviation, max_deviation(curve, sampled)))
+        deviation = float(np.maximum(deviation, back))
 
     probes = np.linspace(s_start, s_end, VERIFY_SAMPLES)
     kappas = curvature(curve, probes)

@@ -407,7 +407,7 @@ class TestVerify:
 
     def test_nonfinite_summary_refused_before_the_oracle(self, capsys, monkeypatch):
         # solve refuses the same data; verify printed nan or inf metrics and exited 1
-        monkeypatch.setattr(oracle, "integrate", None)  # RK4 must not run
+        monkeypatch.setattr(oracle, "_rk4_chunks", None)  # RK4 must not run
         code, out, err = run(capsys, ["verify", "--mode=magnetic", "--v=1e-200,0.5,0.7",
                                       "--ic=y0=1", "--range=0:1"])
         assert code == 2
@@ -617,16 +617,17 @@ def test_verify_rejects_unusable_step_or_tolerance(capsys, flag, reason):
 @pytest.mark.parametrize("nan_runs", [{0}, {1}, {0, 1}])
 def test_verify_fails_on_a_nan_deviation(capsys, monkeypatch, nan_runs):
     # Python's max kept an earlier deviation over a later nan
-    exact, runs = oracle.integrate, []
+    exact, runs = oracle._rk4_chunks, []
 
-    def nan_last_row(*args):
-        sampled = exact(*args)
-        if len(runs) in nan_runs:  # 0: forward to 1, 1: backward to -1
-            sampled.states[-1] = math.nan
-        runs.append(sampled)
-        return sampled
+    def nan_last_row(rhs, initial, cfg):
+        nan = len(runs) in nan_runs  # 0: forward to 1, 1: backward to -1
+        runs.append(cfg)
+        for chunk in exact(rhs, initial, cfg):
+            if nan and chunk.grid[-1] == cfg.s_end:
+                chunk.states[-1] = math.nan
+            yield chunk
 
-    monkeypatch.setattr(oracle, "integrate", nan_last_row)
+    monkeypatch.setattr(oracle, "_rk4_chunks", nan_last_row)
     code, out, _ = run(capsys, ["verify", *HELIX_ARGS, "--range=-1:1"])
     report = parse_report(out)
     assert len(runs) == 2

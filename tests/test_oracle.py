@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from galmag import oracle
 from galmag.errors import NonFiniteState
 from galmag.magnetic import (
     KillingField,
@@ -24,11 +25,24 @@ from galmag.oracle import (
     _CHUNK,
     IntegratorConfig,
     SampledCurve,
+    _rk4_chunks,
     grid_points,
     integrate,
     max_deviation,
     verify,
 )
+
+# a power-of-two step: the windows below are exact multiples of it
+H = 2.0 ** -10
+# RK4 chunk rows for the chunk boundary tests, so that a window of a few
+# chunks runs in milliseconds; above _BLOCK and no multiple of it, so that
+# each chunk holds an overflow check
+SMALL = 1500
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(oracle, "_RK4_CHUNK", SMALL)
 
 
 def _reference_integrate(rhs, initial, cfg):
@@ -115,6 +129,16 @@ def nmagnetic_initial(ic):
     return (ic.y0, ic.z0, ic.Y0, ic.Z0, ic.T0, ic.U0)
 
 
+def _raw_system(dim):
+    """A helix of either mode, with the raw system that verify integrates."""
+    if dim == 4:
+        field, ic = KillingField(1.5, -0.3, 0.8), MagneticIC(1, 2, -1, 0.5)
+        return solve_magnetic(field, ic), partial(magnetic_rhs, field), magnetic_initial(ic)
+    field, ic = KillingField(-2, 0.4, 1), NMagneticIC(0.5, -1, 0.8, 2, 0.3, -0.6)
+    return (solve_n_magnetic(field, ic), partial(n_magnetic_rhs, field, ic.kappa0),
+            nmagnetic_initial(ic))
+
+
 class TestIntegratorConfig:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
@@ -150,6 +174,28 @@ class TestGrid:
         if expected[-1] < cfg.s_end:
             expected.append(cfg.s_end)
         assert grid_points(cfg).tolist() == expected
+
+    @given(st.sampled_from([SMALL, oracle._RK4_CHUNK]), st.floats(-1e3, 1e3),
+           st.floats(1e-3, 10.0), st.integers(1, 3), st.integers(-2, 1),
+           st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)), st.booleans())
+    # s_end one ulp below the last uniform point, which the count loop drops:
+    # the short last step is then alone in the second chunk
+    @example(oracle._RK4_CHUNK, -998.6787684184258, 4.0543521094107176, 1, 0, 0.0, True)
+    # two full chunks, the last row exactly s_end
+    @example(oracle._RK4_CHUNK, 0.0, H, 2, -1, 0.0, False)
+    def test_chunk_grids_concatenate_to_grid_points(self, chunk, s_start, step, k, d, frac,
+                                                    below):
+        # k*chunk + d steps, then frac of one more, or an ulp less
+        s_end = s_start + (k * chunk + d + frac) * step
+        if below and math.nextafter(s_end, -math.inf) > s_start:
+            s_end = math.nextafter(s_end, -math.inf)
+        cfg = IntegratorConfig(s_start, s_end, step)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_RK4_CHUNK", chunk)
+            grids = [c.grid for c in _rk4_chunks(lambda st: (0.0,), (0.0,), cfg)]
+        assert all(len(grid) == chunk for grid in grids[:-1])
+        assert 0 < len(grids[-1]) <= chunk
+        assert np.concatenate(grids).tobytes() == grid_points(cfg).tobytes()
 
     def test_uniform_with_exact_endpoint(self):
         cfg = IntegratorConfig(0.0, 1.0, step=0.25)
@@ -286,6 +332,22 @@ class TestIntegrate:
         assert str(got.value) == str(want.value)
         assert got.value.s == grid_points(cfg)[n]
 
+    @pytest.mark.parametrize("n", [SMALL - 1, SMALL, SMALL + 1, 2 * SMALL + 1, 3 * SMALL])
+    def test_overflow_in_a_later_chunk_at_reference_step(self, small_chunks, n):
+        # as above, at step n on either side of a chunk boundary
+        initial = (sys.float_info.max / 6.0 * math.exp(-(n - 0.5) * 1e-3), 1.0)
+        cfg = IntegratorConfig(0.0, 5.0, step=1e-3)
+
+        def rhs(state):
+            return (state[0], -state[1])
+
+        with pytest.raises(NonFiniteState) as want:
+            _reference_integrate(rhs, initial, cfg)
+        with pytest.raises(NonFiniteState) as got:
+            integrate(rhs, initial, cfg)
+        assert str(got.value) == str(want.value)
+        assert got.value.s == grid_points(cfg)[n]
+
     @pytest.mark.parametrize("rhs", [
         lambda st: (0.0, 0.0),
         lambda st: (0.0 * st[1], -0.0 * st[0]),
@@ -317,6 +379,24 @@ class TestIntegrate:
             want = _reference_integrate(f, initial, cfg)
             assert np.array_equal(got.grid, want.grid)
             assert np.array_equal(got.states, want.states)
+
+    @pytest.mark.parametrize("steps", [SMALL - 1, SMALL, SMALL + 1, 2 * SMALL + 0.5])
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_chunks_resume_bit_identical_to_reference_loop(self, small_chunks, steps, dim):
+        # the kernel stops after each chunk and resumes from the state and
+        # compensations it hands back; 2*SMALL + 0.5 ends in a short step
+        _curve, rhs, initial = _raw_system(dim)
+        cfg = IntegratorConfig(0.0, steps * H, H)
+        for f in (rhs, lambda state: tuple([-k for k in rhs(state)])):
+            got = integrate(f, initial, cfg)
+            want = _reference_integrate(f, initial, cfg)
+            assert got.states.tobytes() == want.states.tobytes()
+
+    def test_full_size_chunks_resume_bit_identical_to_reference_loop(self):
+        _curve, rhs, initial = _raw_system(6)
+        cfg = IntegratorConfig(0.0, (2 * oracle._RK4_CHUNK + 0.5) * H, H)
+        got = integrate(rhs, initial, cfg)
+        assert got.states.tobytes() == _reference_integrate(rhs, initial, cfg).states.tobytes()
 
     @given(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
@@ -495,20 +575,83 @@ class TestMaxDeviationChunks:
         assert math.isnan(max_deviation(crv, sampled))
 
 
+def _whole_window_samples(rhs, initial, s_start, s_end, step):
+    """The rows verify compares, cut from integrate's whole-window states: the
+    forward run on [0, s_end] from s_start on, the backward run on
+    [0, -s_start] from -s_end on (at s = -u)."""
+    samples = []
+    if s_end > 0.0:
+        sampled = integrate(rhs, initial, IntegratorConfig(0.0, s_end, step))
+        first = int(np.searchsorted(sampled.grid, s_start))
+        samples.append(SampledCurve(sampled.grid[first:], sampled.states[first:]))
+    if s_start < 0.0:
+        back = integrate(lambda state: tuple([-k for k in rhs(state)]), initial,
+                         IntegratorConfig(0.0, -s_start, step))
+        first = int(np.searchsorted(back.grid, -s_end))
+        samples.append(SampledCurve(-back.grid[first:], back.states[first:]))
+    return samples
+
+
+C = SMALL
+
+
 class TestVerify:
     def test_deviation_equals_integrating_the_raw_system(self):
-        mag_field, mag_ic = KillingField(1.5, -0.3, 0.8), MagneticIC(1, 2, -1, 0.5)
-        nmag_field, nmag_ic = KillingField(-2, 0.4, 1), NMagneticIC(0.5, -1, 0.8, 2, 0.3, -0.6)
-        cases = [
-            (solve_magnetic(mag_field, mag_ic), partial(magnetic_rhs, mag_field),
-             magnetic_initial(mag_ic)),
-            (solve_n_magnetic(nmag_field, nmag_ic),
-             partial(n_magnetic_rhs, nmag_field, nmag_ic.kappa0), nmagnetic_initial(nmag_ic)),
-        ]
-        for crv, rhs, initial in cases:
+        for crv, rhs, initial in map(_raw_system, (4, 6)):
             cfg = IntegratorConfig(0.0, 3.0, 2e-3)
             expected = max_deviation(crv, integrate(rhs, initial, cfg))
             assert verify(crv, 0.0, 3.0, 2e-3)["deviation"] == expected
+
+    # window ends in steps of H: forward runs of k*C - 1, k*C and k*C + 1 steps
+    # and one ending in a short step; offset starts inside a later chunk, on
+    # the first row of one and on the last row of the one before; backward and
+    # straddling windows, with backward offsets on and off a chunk boundary
+    @pytest.mark.parametrize("window", [
+        (0, C - 1), (0, C), (0, C + 1), (0, 2 * C - 1), (0, 2 * C), (0, 2 * C + 1),
+        (0, C + 0.5), (C + 100.5, 2 * C + 1), (C, 2 * C - 1), (C - 1, 2 * C),
+        (-(C - 1), 0), (-C, 0), (-(2 * C + 1), 0), (-2 * C, -C), (-(2 * C + 1), -(C + 100.5)),
+        (-(C + 1), C - 1), (-0.5, 2 * C + 1),
+    ], ids=str)
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_chunked_deviation_equals_whole_window(self, small_chunks, window, dim,
+                                                   monkeypatch):
+        curve, rhs, initial = _raw_system(dim)
+        s_start, s_end = window[0] * H, window[1] * H
+        want = _whole_window_samples(rhs, initial, s_start, s_end, H)
+        seen = []
+
+        def recording(closed, sampled, components="position"):
+            seen.append(SampledCurve(sampled.grid.copy(), sampled.states.copy()))
+            return max_deviation(closed, sampled, components)
+
+        monkeypatch.setattr(oracle, "max_deviation", recording)
+        deviation = verify(curve, s_start, s_end, H)["deviation"]
+        assert deviation == float(np.max([max_deviation(curve, w) for w in want]))
+        # the same rows, states and points of evaluation, chunk by chunk
+        assert all(len(chunk.grid) <= C for chunk in seen)
+        for attr in ("grid", "states"):
+            got = np.concatenate([getattr(chunk, attr) for chunk in seen])
+            assert got.tobytes() == np.concatenate([getattr(w, attr) for w in want]).tobytes()
+
+    @pytest.mark.parametrize("step", [5e-4, 2e-4])
+    @pytest.mark.parametrize("window", [(0.0, 4.0), (3.5, 4.0), (-4.0, 0.0), (-4.0, -3.5)])
+    def test_overflow_in_a_later_chunk_at_integrates_s(self, small_chunks, window, step):
+        # the constant acceleration 1e307 makes y's RK4 weights 6*y' overflow
+        # near s = 3: row 5993 (fourth chunk) or 14982 (tenth)
+        field = KillingField(0, 0, 1e307)
+        curve = solve_magnetic(field, MagneticIC(0, 0, 0, 0))
+        forward = partial(magnetic_rhs, field)
+        backward = window[0] < 0.0
+        rhs = (lambda state: tuple([-k for k in forward(state)])) if backward else forward
+        cfg = IntegratorConfig(0.0, 4.0, step)
+        with pytest.raises(NonFiniteState) as want:
+            integrate(rhs, (0.0, 0.0, 0.0, 0.0), cfg)
+        assert want.value.s >= grid_points(cfg)[C]
+        with pytest.raises(NonFiniteState) as got:
+            verify(curve, *window, step)
+        s = -want.value.s if backward else want.value.s
+        assert got.value.s == s
+        assert str(got.value) == f"state became non-finite at s = {s}"
 
     def test_metrics_in_report_order(self):
         helix = solve_magnetic(KillingField(1, 0, 0), MagneticIC(0, 0, 0, 1))
@@ -524,12 +667,15 @@ class TestVerify:
             verify(crv, 1.0, 1.0)
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
-    @pytest.mark.parametrize("window", ["0.0, 200.0", "-200.0, 0.0"])
+    @pytest.mark.parametrize("window", ["0.0, 200.0", "-200.0, 0.0", "100.0, 200.0"])
     def test_long_window_memory_stays_near_its_states(self, window):
-        # the 200,001 six-component states hold 9.6 MB; the grid, one RK4 block
-        # and one max_deviation chunk add little to them, forward or backward.
-        # The child reads its own peak RSS (VmHWM, in kB): its ru_maxrss would
-        # start near this process's, which Linux carries into a child across exec.
+        # verify holds one RK4 chunk of states at a time, so its peak does not
+        # grow with the window: the 200,000- and 400,000-step runs (the window
+        # and its double) both grow it by less than 2 MB, where the longer
+        # run's grid alone would take 3.2 MB and the shorter run's
+        # six-component states 9.6 MB (0.25 MB measured).  The child reads
+        # its own peak RSS (VmHWM, in kB): its ru_maxrss would start near this
+        # process's, which Linux carries into a child across exec.
         script = f"""
 from galmag.magnetic import KillingField, NMagneticIC, solve_n_magnetic
 from galmag.oracle import verify
@@ -537,9 +683,12 @@ def peak():
     with open("/proc/self/status") as status:
         return int(next(line for line in status if line.startswith("VmHWM:")).split()[1])
 curve = solve_n_magnetic(KillingField(1, 0.5, 0.7), NMagneticIC(0, 0, 0.5, 0, 0, -0.6))
-verify(curve, 0.0, 1.0)  # warm-up: imports, the generated kernel, numpy's first buffers
+verify(curve, -20.0, 20.0)  # warm-up: imports, the generated kernels, full-size chunks
 before = peak()
-verify(curve, {window})
+window = ({window})
+verify(curve, *window)
+print(peak() - before)
+verify(curve, *(2 * s for s in window))
 print(peak() - before)
 """
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -548,5 +697,6 @@ print(peak() - before)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        states_bytes = 200_001 * 6 * 8
-        assert int(proc.stdout) * 1024 < 2 * states_bytes
+        growth_kb = [int(line) for line in proc.stdout.split()]
+        assert len(growth_kb) == 2
+        assert max(growth_kb) < 2048, growth_kb
