@@ -36,13 +36,10 @@ from galmag.magnetic import (
     MagneticIC,
     NMagneticIC,
     QuadSinusoid,
-    b_magnetic_constraint,
-    b_magnetic_rhs,
     helix_decomposition,
     lorentz_force,
     lorentz_residual,
     magnetic_rhs,
-    n_magnetic_constraint,
     n_magnetic_residual,
     n_magnetic_rhs,
     solve_magnetic,
@@ -80,9 +77,6 @@ __all__ = [
     "lorentz_force",
     "magnetic_rhs",
     "n_magnetic_rhs",
-    "n_magnetic_constraint",
-    "b_magnetic_rhs",
-    "b_magnetic_constraint",
     "solve_magnetic",
     "solve_n_magnetic",
     "helix_decomposition",

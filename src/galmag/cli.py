@@ -12,11 +12,10 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 from contextlib import nullcontext
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -47,9 +46,6 @@ _SIGN_BIT = np.int64(-1 << 63)  # the sign bit of a float64 seen as int64
 # a frenet JSON sample, one %r per column of s,t1,t2,t3,n1,n2,n3,b1,b2,b3,kappa,tau
 _FRAME = ('{"s": %r, "T": [%r, %r, %r], "N": [%r, %r, %r], "B": [%r, %r, %r], '
           '"kappa": %r, "tau": %r}')
-
-_MAGNETIC_KEYS = ("y0", "Y0", "z0", "Z0")
-_NMAGNETIC_KEYS = ("y0", "Y0", "T0", "z0", "Z0", "U0")
 
 
 class _CliError(Exception):
@@ -203,8 +199,8 @@ def _build_parser() -> _Parser:
     p_verify.add_argument(
         "--tolerance",
         type=float,
-        help="pass threshold for every reported metric "
-        "(default $GALMAG_TOL or 1e-9)",
+        default=DEFAULT_TOLERANCE,
+        help="pass threshold for every reported metric (default 1e-9)",
     )
 
     p_frenet = sub.add_parser("frenet", help="emit per-sample Frenet frame data")
@@ -232,8 +228,9 @@ def _parse_field(args) -> KillingField:
 
 
 def _parse_ic(args):
-    keys = _MAGNETIC_KEYS if args.mode == "magnetic" else _NMAGNETIC_KEYS
-    values = {k: 0.0 for k in keys}
+    ic_class = MagneticIC if args.mode == "magnetic" else NMagneticIC
+    keys = [f.name for f in fields(ic_class)]
+    values = {}
     text = args.ic.strip()
     if text:
         for item in text.split(","):
@@ -241,17 +238,17 @@ def _parse_ic(args):
                 raise _CliError("invalid-ic", f"expected key=value, got {item!r}")
             key, _, raw = item.partition("=")
             key = key.strip()
-            if key not in values:
+            if key not in keys:
                 raise _CliError("invalid-ic", f"unknown key {key!r} for mode {args.mode}")
+            if key in values:
+                raise _CliError("invalid-ic", f"duplicate key {key!r}")
             try:
                 values[key] = float(raw)
             except ValueError:
                 raise _CliError("invalid-ic", f"non-numeric value in {item!r}")
             if not math.isfinite(values[key]):
                 raise _CliError("invalid-ic", f"non-finite value in {item!r}")
-    if args.mode == "magnetic":
-        return MagneticIC(**values)
-    return NMagneticIC(**values)
+    return ic_class(**{**dict.fromkeys(keys, 0.0), **values})
 
 
 def _parse_range(args) -> tuple[float, float, float | None]:
@@ -367,25 +364,10 @@ def _cmd_frenet(args) -> int:
     return 0
 
 
-def _verify_tolerance(args) -> float:
-    if args.tolerance is not None:
-        tol = args.tolerance
-    else:
-        raw = os.environ.get("GALMAG_TOL")
-        if raw is None:
-            tol = DEFAULT_TOLERANCE
-        else:
-            try:
-                tol = float(raw)
-            except ValueError:
-                raise _CliError("invalid-tolerance", f"GALMAG_TOL = {raw!r} is not a number")
+def _cmd_verify(args) -> int:
+    tol = args.tolerance
     if not tol >= 0.0:  # nan too: no metric could pass it
         raise _CliError("invalid-tolerance", "tolerance must be non-negative")
-    return tol
-
-
-def _cmd_verify(args) -> int:
-    tol = _verify_tolerance(args)
     curve = _solve_curve(args)
     s_start, s_end, _ = _parse_range(args)
     case, kappa, tau, helix = _summary(curve, s_start)

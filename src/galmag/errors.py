@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["GalmagError", "ZeroCurvature", "WrongCase", "IncompatibleIC", "NonFiniteState"]
+
 
 class GalmagError(Exception):
     """Base class for all galmag-specific errors."""

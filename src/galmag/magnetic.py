@@ -20,9 +20,6 @@ serves every v1, with the initial data and the field as its coefficients:
 At v1 = 0 this is a quadratic polynomial, otherwise a cylindrical helix:
 a Euclidean circle of radius kappa0/v1**2 in the isotropic plane drifting
 along an admissible straight line (`helix_decomposition`).
-
-B-magnetic curves (binormal in place of the normal) only get their ODE
-right-hand side here; no closed-form solver is provided for them.
 """
 
 from __future__ import annotations
@@ -48,9 +45,6 @@ __all__ = [
     "lorentz_force",
     "magnetic_rhs",
     "n_magnetic_rhs",
-    "n_magnetic_constraint",
-    "b_magnetic_rhs",
-    "b_magnetic_constraint",
     "solve_magnetic",
     "solve_n_magnetic",
     "helix_decomposition",
@@ -60,6 +54,8 @@ __all__ = [
 
 # (x - sin x)/x**3 in powers of x**2: 8 terms are exact to rounding for |x| < 0.5
 _S2_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(8))
+# relative tolerance of the N-magnetic v1 = 0 compatibility check
+_CONSTRAINT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,10 +65,6 @@ class KillingField:
     v1: float
     v2: float
     v3: float
-
-    @property
-    def is_isotropic(self) -> bool:
-        return self.v1 == 0.0
 
     def as_vector(self) -> GVector3:
         return GVector3(self.v1, self.v2, self.v3)
@@ -118,10 +110,6 @@ class CurveCase(Enum):
     @property
     def is_helix(self) -> bool:
         return self in (CurveCase.MAGNETIC_HELIX, CurveCase.NMAGNETIC_HELIX)
-
-    @property
-    def is_magnetic(self) -> bool:
-        return self in (CurveCase.MAGNETIC_PARABOLA, CurveCase.MAGNETIC_HELIX)
 
 
 def _x_minus_sin_over_x2(x):
@@ -288,50 +276,19 @@ def magnetic_rhs(field: KillingField, state) -> tuple[float, float, float, float
     return (yd, zd, field.v3 - field.v1 * zd, field.v1 * yd - field.v2)
 
 
-def n_magnetic_rhs(
-    field: KillingField, kappa0: float, state
-) -> tuple[float, float, float, float, float, float]:
+def n_magnetic_rhs(field: KillingField, state) -> tuple[float, float, float, float, float, float]:
     """State derivative of the N-magnetic system for (y, z, y', z', y'', z'').
 
     N' = V x N with N = (0, y'', z'')/kappa0 gives y''' = -v1*z'' and
     z''' = v1*y'' when v1 != 0, and y''' = z''' = 0 when v1 = 0 (the
-    normalization by kappa0 cancels).  In the v1 = 0 case the force
-    equation additionally requires v2*z'' - v3*y'' = 0, which is a pure
-    initial-condition constraint; see `n_magnetic_constraint`.
+    normalization by kappa0 cancels, so kappa0 is no argument).  In the
+    v1 = 0 case the force equation additionally requires v2*z'' - v3*y'' = 0,
+    a pure initial-condition constraint that `solve_n_magnetic` enforces.
     """
-    if kappa0 <= 0.0:
-        raise ValueError(f"kappa0 must be positive, got {kappa0}")
     _y, _z, yd, zd, ydd, zdd = state
     if field.v1 != 0.0:
         return (yd, zd, ydd, zdd, -field.v1 * zdd, field.v1 * ydd)
     return (yd, zd, ydd, zdd, 0.0, 0.0)
-
-
-def n_magnetic_constraint(field: KillingField, state) -> float:
-    """Compatibility value v2*z'' - v3*y'' (must vanish when v1 = 0)."""
-    if field.v1 != 0.0:
-        return 0.0
-    return field.v2 * state[5] - field.v3 * state[4]
-
-
-def b_magnetic_rhs(
-    field: KillingField, kappa0: float, state
-) -> tuple[float, float, float, float, float, float]:
-    """State derivative of the B-magnetic system for (y, z, y', z', y'', z'').
-
-    B' = V x B with B = (0, -z'', y'')/kappa0 yields the same third-order
-    system as the N-magnetic case: y''' = -v1*z'', z''' = v1*y'' for
-    v1 != 0 and y''' = z''' = 0 for v1 = 0.  Only the v1 = 0 compatibility
-    constraint differs; see `b_magnetic_constraint`.
-    """
-    return n_magnetic_rhs(field, kappa0, state)
-
-
-def b_magnetic_constraint(field: KillingField, state) -> float:
-    """Compatibility value v2*y'' + v3*z'' (must vanish when v1 = 0)."""
-    if field.v1 != 0.0:
-        return 0.0
-    return field.v2 * state[4] + field.v3 * state[5]
 
 
 def _solution(case, field, ic, y: QuadSinusoid, z: QuadSinusoid) -> ClosedFormCurve:
@@ -372,9 +329,7 @@ def solve_magnetic(field: KillingField, ic: MagneticIC) -> ClosedFormCurve:
     return _solution(case, field, ic, y, z)
 
 
-def solve_n_magnetic(
-    field: KillingField, ic: NMagneticIC, constraint_rtol: float = 1e-12
-) -> ClosedFormCurve:
+def solve_n_magnetic(field: KillingField, ic: NMagneticIC) -> ClosedFormCurve:
     """Solve N' = V x N for a curve of constant curvature kappa0.
 
     Parameters
@@ -384,9 +339,6 @@ def solve_n_magnetic(
     ic : NMagneticIC
         Initial data up to second order; kappa0 = sqrt(T0**2 + U0**2) is
         derived from them and must be nonzero.
-    constraint_rtol : float
-        Relative tolerance of the v1 = 0 compatibility check
-        |v2*U0 - v3*T0| <= constraint_rtol * (1 + |v2*U0| + |v3*T0|).
 
     Returns
     -------
@@ -396,7 +348,8 @@ def solve_n_magnetic(
         the quadratic curve y = (T0/2) s**2 + Y0 s + y0, z = (U0/2) s**2 + Z0 s + z0,
         accepted only if the compatibility constraint holds (it forces T0 = 0
         when only v3 acts, U0 = 0 when only v2 acts, and v2*U0 = v3*T0 when
-        both act), otherwise the cylindrical helix of radius kappa0/v1**2
+        both act; |v2*U0 - v3*T0| <= 1e-12*(1 + |v2*U0| + |v3*T0|) passes),
+        otherwise the cylindrical helix of radius kappa0/v1**2
         and drift slopes (Y0 - U0/v1, Z0 + T0/v1).
 
     Raises
@@ -416,7 +369,7 @@ def solve_n_magnetic(
     else:
         constraint = v2 * ic.U0 - v3 * ic.T0
         scale = 1.0 + abs(v2 * ic.U0) + abs(v3 * ic.T0)
-        if abs(constraint) > constraint_rtol * scale:
+        if abs(constraint) > _CONSTRAINT_RTOL * scale:
             raise IncompatibleIC(
                 f"v2*U0 - v3*T0 = {constraint:g} != 0: the initial accelerations "
                 "are incompatible with the force equation for this field"

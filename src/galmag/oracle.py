@@ -38,8 +38,8 @@ import numpy as np
 from galmag.errors import NonFiniteState
 from galmag.frenet import curvature
 from galmag.galilean import norm
-from galmag.magnetic import ClosedFormCurve, helix_decomposition, magnetic_rhs, n_magnetic_rhs
-from galmag.magnetic import lorentz_residual, n_magnetic_residual
+from galmag.magnetic import ClosedFormCurve, MagneticIC, helix_decomposition, magnetic_rhs
+from galmag.magnetic import lorentz_residual, n_magnetic_residual, n_magnetic_rhs
 
 __all__ = ["IntegratorConfig", "SampledCurve", "grid_points", "integrate", "max_deviation",
            "verify"]
@@ -108,7 +108,7 @@ _CONTRACT = ("rhs must be arithmetic (+ - *, unary -) on the state values and in
              "float constants only")
 # bounds each expression's nesting below the parser's limit (200) and its length
 _MAX_OPS = 150
-# steps between the kernel's overflow checks
+# steps the kernel collects in a list before it writes them into its buffer
 _BLOCK = 1024
 # grid rows max_deviation compares at once: bounds its temporaries
 _CHUNK = 4096
@@ -182,9 +182,10 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
     bound to q0, q1, ... from the list `consts`, so no value passes through
     source text.  `run` resumes from the state `st` at grid[0] with the Kahan
     compensations `comp`, writes the states at grid[1:] block by block into
-    the flat float64 array `out`, checks for overflow once per _BLOCK steps (a
-    non-finite component stays so) and returns the rows written and the last
-    state and compensations, from which the next grid resumes.
+    the flat float64 array `out` and returns the last state and compensations,
+    from which the next grid resumes.  It runs no overflow check: under
+    + - * a non-finite component stays so, and `_rk4_chunks` checks each
+    chunk's last state.
     """
     m = len(exprs)
     x = [f"x{j}" for j in range(m)]
@@ -211,7 +212,6 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
     comp = f"({''.join(f'e{j}, ' for j in range(m))})"
     lines = [
         "def run(grid, st, comp, consts, out):",
-        "    isfinite = math.isfinite",
         f"    [{', '.join(f'q{i}' for i in range(n_consts))}] = consts",
         f"    [{', '.join(x)}] = st",
         f"    [{', '.join(f'e{j}' for j in range(m))}] = comp",
@@ -237,12 +237,9 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
         "            s_prev = s_next",
         f"        out[{m} * (start - 1):{m} * (stop - 1)] = block",
         "        block.clear()",
-        # a finite sum proves every component finite; otherwise look closer
-        f"        if not isfinite({' + '.join(x) or '0.0'}) and not all(map(isfinite, {row})):",
-        "            break",
-        f"    return stop - 1, {row}, {comp}",
+        f"    return {row}, {comp}",
     ]
-    namespace = {"math": math}
+    namespace = {}
     exec("\n".join(lines), namespace)
     return namespace["run"]
 
@@ -324,9 +321,10 @@ def _rk4_chunks(
         # grid starts one row early, at the point of the state it resumes from
         head = int(lo == 0)
         grid = _grid_rows(cfg, n, lo - 1 + head, hi)
-        done, state, comp = run(grid, state, comp, consts, buf[m * head:])
+        state, comp = run(grid, state, comp, consts, buf[m * head:])
+        # under + - * a non-finite component stays so: the last state tells
         if not all(map(math.isfinite, state)):
-            finite = np.isfinite(buf[m * head:m * (head + done)])
+            finite = np.isfinite(buf[m * head:m * (hi - lo)])
             s = float(grid[int(finite.argmin()) // m + 1])
             raise NonFiniteState(f"state became non-finite at s = {s}", s)
         yield SampledCurve(grid[1 - head:], buf[:m * (hi - lo)].reshape(hi - lo, m))
@@ -411,12 +409,12 @@ def verify(
     if not s_end > s_start:
         raise ValueError(f"s_end must exceed s_start, got [{s_start}, {s_end}]")
     field, ic = curve.field, curve.ic
-    if curve.case.is_magnetic:
+    if isinstance(ic, MagneticIC):
         rhs = partial(magnetic_rhs, field)
         initial = (ic.y0, ic.z0, ic.Y0, ic.Z0)
         residual = lorentz_residual
     else:
-        rhs = partial(n_magnetic_rhs, field, ic.kappa0)
+        rhs = partial(n_magnetic_rhs, field)
         initial = (ic.y0, ic.z0, ic.Y0, ic.Z0, ic.T0, ic.U0)
         residual = n_magnetic_residual
 

@@ -71,7 +71,7 @@ def test_curve_eval_matches_scalar(crv, grid):
 @given(curves(), grids)
 def test_residuals_and_helix_axis_match_scalar(crv, grid):
     points = grid.tolist()
-    residual = lorentz_residual if crv.case.is_magnetic else n_magnetic_residual
+    residual = lorentz_residual if isinstance(crv.ic, MagneticIC) else n_magnetic_residual
     assert_bits_equal(residual(crv, grid), [residual(crv, s) for s in points])
     if crv.case.is_helix:
         helix = helix_decomposition(crv)

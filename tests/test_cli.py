@@ -198,6 +198,18 @@ class TestSolveErrors:
         assert code == 2
         assert err.startswith("error: invalid-ic")
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "frenet"])
+    @pytest.mark.parametrize("mode, ic", [
+        ("magnetic", "Z0=1,Z0=5"), ("magnetic", "Z0=1,y0=2, Z0=1"), ("nmagnetic", "T0=1,T0=1"),
+    ])
+    def test_repeated_ic_key(self, capsys, command, mode, ic):
+        # a second value for a key would silently replace the first
+        argv = [command, f"--mode={mode}", "--v=1,0,0", f"--ic={ic}", "--range=0:1"]
+        code, out, err = run(capsys, argv + (["--samples=2"] if command != "verify" else []))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: invalid-ic (duplicate key '{ic[:2]}')\n"
+
     def test_bad_field_arity(self, capsys):
         code, _, err = run(
             capsys, ["solve", "--mode", "magnetic", "--v", "1,2", "--range", "0:1"]
@@ -358,24 +370,12 @@ class TestVerify:
         assert code == 1
         assert parse_report(out)["status"] == "fail"
 
-    def test_env_tolerance(self, capsys, monkeypatch):
+    def test_default_tolerance_ignores_the_environment(self, capsys, monkeypatch):
+        # only --tolerance sets it, so a caller's environment cannot flip the status
         monkeypatch.setenv("GALMAG_TOL", "1e-20")
         code, out, _ = run(capsys, ["verify", *HELIX_ARGS, "--range", TWO_PI])
-        assert code == 1
-        assert parse_report(out)["status"] == "fail"
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("GALMAG_TOL", "1e-20")
-        code, out, _ = run(
-            capsys, ["verify", *HELIX_ARGS, "--range", TWO_PI, "--tolerance", "1e-6"]
-        )
         assert code == 0
-
-    def test_bad_env_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("GALMAG_TOL", "not-a-number")
-        code, _, err = run(capsys, ["verify", *HELIX_ARGS, "--range", TWO_PI])
-        assert code == 2
-        assert err.startswith("error: invalid-tolerance")
+        assert parse_report(out)["tolerance"] == "1.0000000000000001e-09"
 
     def test_custom_rk4_step(self, capsys):
         code, out, _ = run(
@@ -605,6 +605,7 @@ class TestWarnings:
 @pytest.mark.parametrize("flag, reason", [
     ("--step=inf", "invalid-input"),
     ("--tolerance=nan", "invalid-tolerance"),
+    ("--tolerance=-1e-9", "invalid-tolerance"),
 ])
 def test_verify_rejects_unusable_step_or_tolerance(capsys, flag, reason):
     # an infinite step ran no RK4 step and passed with deviation 0

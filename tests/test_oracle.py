@@ -16,7 +16,6 @@ from galmag.magnetic import (
     MagneticIC,
     NMagneticIC,
     magnetic_rhs,
-    n_magnetic_constraint,
     n_magnetic_rhs,
     solve_magnetic,
     solve_n_magnetic,
@@ -35,8 +34,8 @@ from galmag.oracle import (
 # a power-of-two step: the windows below are exact multiples of it
 H = 2.0 ** -10
 # RK4 chunk rows for the chunk boundary tests, so that a window of a few
-# chunks runs in milliseconds; above _BLOCK and no multiple of it, so that
-# each chunk holds an overflow check
+# chunks runs in milliseconds; above the kernel's _BLOCK and no multiple of
+# it, so that a chunk ends inside a block
 SMALL = 1500
 
 
@@ -45,8 +44,11 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(oracle, "_RK4_CHUNK", SMALL)
 
 
-def _reference_integrate(rhs, initial, cfg):
-    """The textbook per-component RK4 loop that `integrate` unrolls."""
+def _reference_integrate(rhs, initial, cfg, check=True):
+    """The textbook per-component RK4 loop that `integrate` unrolls.
+
+    With check=False it runs on past an overflow instead of raising.
+    """
     state = [float(w) for w in initial]
     m = len(state)
     grid = grid_points(cfg).tolist()
@@ -70,7 +72,7 @@ def _reference_integrate(rhs, initial, cfg):
         total = 0.0
         for w in state:
             total += w
-        if not math.isfinite(total) and any(not math.isfinite(w) for w in state):
+        if check and not math.isfinite(total) and any(not math.isfinite(w) for w in state):
             raise NonFiniteState(f"state became non-finite at s = {s_next}")
         states.append(tuple(state))
         s_prev = s_next
@@ -118,7 +120,7 @@ def raw_systems(draw):
     if draw(st.booleans()):
         return partial(magnetic_rhs, field), initial
     accel = [draw(st.floats(0.1, 2.0)), draw(coeff)]
-    return partial(n_magnetic_rhs, field, math.hypot(*accel)), initial + accel
+    return partial(n_magnetic_rhs, field), initial + accel
 
 
 def magnetic_initial(ic):
@@ -135,8 +137,7 @@ def _raw_system(dim):
         field, ic = KillingField(1.5, -0.3, 0.8), MagneticIC(1, 2, -1, 0.5)
         return solve_magnetic(field, ic), partial(magnetic_rhs, field), magnetic_initial(ic)
     field, ic = KillingField(-2, 0.4, 1), NMagneticIC(0.5, -1, 0.8, 2, 0.3, -0.6)
-    return (solve_n_magnetic(field, ic), partial(n_magnetic_rhs, field, ic.kappa0),
-            nmagnetic_initial(ic))
+    return solve_n_magnetic(field, ic), partial(n_magnetic_rhs, field), nmagnetic_initial(ic)
 
 
 class TestIntegratorConfig:
@@ -252,9 +253,7 @@ class TestIntegrate:
         crv = solve_n_magnetic(field, ic)
         for step in (0.5, 1e-2, 1e-3):
             cfg = IntegratorConfig(0.0, 5.0, step=step)
-            sampled = integrate(
-                partial(n_magnetic_rhs, field, ic.kappa0), nmagnetic_initial(ic), cfg
-            )
+            sampled = integrate(partial(n_magnetic_rhs, field), nmagnetic_initial(ic), cfg)
             assert max_deviation(crv, sampled, components="full") < 1e-11
 
     def test_nmagnetic_helix_full_state(self):
@@ -262,9 +261,7 @@ class TestIntegrate:
         ic = NMagneticIC(0.2, -0.1, 1.0, 0.3, 0.5, 0.5)
         crv = solve_n_magnetic(field, ic)
         cfg = IntegratorConfig(0.0, 4 * math.pi, step=1e-3)
-        sampled = integrate(
-            partial(n_magnetic_rhs, field, ic.kappa0), nmagnetic_initial(ic), cfg
-        )
+        sampled = integrate(partial(n_magnetic_rhs, field), nmagnetic_initial(ic), cfg)
         assert max_deviation(crv, sampled, components="full") < 1e-9
 
     def test_step_halving_reduces_error_sixteenfold(self):
@@ -318,8 +315,8 @@ class TestIntegrate:
         ((1.0, math.inf), 1), ((1.0, -math.inf), 1), ((1.0, math.nan), 1),
     ], ids=["1023", "1024", "1025", "2048", "2049", "inf", "-inf", "nan"])
     def test_overflow_at_reference_step(self, initial, n):
-        # the weights 6*u overflow at step n, either side of the kernel's checks
-        # every 1024 steps; a non-finite initial value counts at the first step
+        # the weights 6*u overflow at step n, either side of the kernel's
+        # 1024-step blocks; a non-finite initial value counts at the first step
         cfg = IntegratorConfig(0.0, 3.0, step=1e-3)
 
         def rhs(state):
@@ -348,12 +345,60 @@ class TestIntegrate:
         assert str(got.value) == str(want.value)
         assert got.value.s == grid_points(cfg)[n]
 
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("chunk, where", [
+        (SMALL, "first"), (SMALL, "last"), (None, "first"), (None, "last"),
+    ], ids=["small-first", "small-last", "full-first", "full-last"])
+    def test_overflow_on_a_chunk_edge_at_reference_step(self, monkeypatch, chunk, where,
+                                                       backward):
+        # the only overflow check reads each chunk's last state: u grows
+        # like e**s and overflows on the first or the last row of the second
+        # chunk; backward is verify's negated form of a system that decays
+        chunk = chunk or oracle._RK4_CHUNK
+        monkeypatch.setattr(oracle, "_RK4_CHUNK", chunk)
+        n = chunk if where == "first" else 2 * chunk - 1
+        initial = (sys.float_info.max / 6.0 * math.exp(-(n - 0.5) * 1e-3), 1.0)
+        cfg = IntegratorConfig(0.0, (2 * chunk + 10) * 1e-3, step=1e-3)
+
+        def rhs(state):
+            return (-state[0], state[1]) if backward else (state[0], -state[1])
+
+        f = (lambda state: tuple([-k for k in rhs(state)])) if backward else rhs
+        with pytest.raises(NonFiniteState) as want:
+            _reference_integrate(f, initial, cfg)
+        with pytest.raises(NonFiniteState) as got:
+            integrate(f, initial, cfg)
+        assert str(got.value) == str(want.value)
+        assert got.value.s == grid_points(cfg)[n]
+
+    @pytest.mark.parametrize("n", [1, 700, SMALL - 2])
+    def test_overflow_that_turns_nan_later_in_the_chunk(self, small_chunks, n):
+        # u + (u - u) is u while u is finite and inf - inf = nan from the step
+        # after it overflows, while w stays finite: the chunk ends on a nan,
+        # and its first non-finite row is still the overflow's
+        initial = (sys.float_info.max / 6.0 * math.exp(-(n - 0.5) * 1e-3), 1.0)
+        cfg = IntegratorConfig(0.0, 2.0, step=1e-3)
+
+        def rhs(state):
+            u, w = state
+            return (u + (u - u), -w)
+
+        states = _reference_integrate(rhs, initial, cfg, check=False).states
+        assert states[n, 0] == math.inf and math.isnan(states[n + 1, 0])
+        assert math.isnan(states[SMALL - 1, 0]) and np.isfinite(states[:, 1]).all()
+        with pytest.raises(NonFiniteState) as want:
+            _reference_integrate(rhs, initial, cfg)
+        with pytest.raises(NonFiniteState) as got:
+            integrate(rhs, initial, cfg)
+        assert str(got.value) == str(want.value)
+        assert got.value.s == grid_points(cfg)[n]
+
     @pytest.mark.parametrize("rhs", [
         lambda st: (0.0, 0.0),
         lambda st: (0.0 * st[1], -0.0 * st[0]),
     ], ids=["state-free", "state-reading"])
     def test_finite_states_with_overflowing_sum(self, rhs):
-        # the components stay finite while their sum, the kernel's quick check, is inf
+        # the components stay finite while their sum, the reference loop's quick check, is inf
         cfg = IntegratorConfig(0.0, 3.0, step=1e-3)
         got = integrate(rhs, (1e308, 1e308), cfg)
         want = _reference_integrate(rhs, (1e308, 1e308), cfg)
@@ -463,12 +508,11 @@ class TestIntegrate:
         # acceleration pair keeps its exact violation along the trajectory
         field = KillingField(0, 1, 2)
         initial = (0.0, 0.0, 0.3, -0.7, 1.0, 1.0)
-        value0 = n_magnetic_constraint(field, initial)
-        assert value0 == -1.0
         cfg = IntegratorConfig(0.0, 3.0, step=1e-2)
-        sampled = integrate(partial(n_magnetic_rhs, field, 1.0), initial, cfg)
-        for state in sampled.states:
-            assert n_magnetic_constraint(field, tuple(state)) == value0
+        sampled = integrate(partial(n_magnetic_rhs, field), initial, cfg)
+        # v2*z'' - v3*y'', which must vanish for compatible data
+        violation = field.v2 * sampled.states[:, 5] - field.v3 * sampled.states[:, 4]
+        assert violation.tolist() == [-1.0] * len(sampled.grid)
 
 
 class TestMaxDeviation:
