@@ -36,10 +36,10 @@ from galmag.oracle import IntegratorConfig, grid_points, integrate, verify  # no
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_RK4_STEP = 1e-3
 DEFAULT_SAMPLES = 201
-# a table holds a dozen n-length columns at once: 1,000,000 samples peak at
-# 345 MB for frenet and 122-129 MB for solve (Python 3.11, x86-64 Linux), so
-# a table at this limit needs about 1.2-3.4 GB
-MAX_SAMPLES = 10**7
+# a table holds a dozen n-length columns at once, so memory grows with the
+# samples: at this limit frenet peaks at 345 MB and solve at 122-129 MB
+# (Python 3.11, x86-64 Linux)
+MAX_SAMPLES = 10**6
 _BLOCK = 1024  # rows per write: bounds the Python objects and text held at once
 _SIGN_BIT = np.int64(-1 << 63)  # the sign bit of a float64 seen as int64
 
@@ -76,22 +76,57 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _g17_strings(values: list) -> list[str]:
-    # one % call for the whole column: the fastest way to format %.17g here
-    return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+@functools.cache  # compiled or loaded on the first CSV table, never at import
+def _g17_native():
+    """The exact %.17g converter of _g17.c, or None where it cannot be built.
+
+    It maps a float64 array to its texts and the count of values it left to
+    Python, whose texts are "".
+    """
+    import ctypes
+    from pathlib import Path
+
+    from galmag import _native
+
+    size_t = ctypes.c_size_t
+    signature = (size_t, [ctypes.c_char_p, size_t, ctypes.c_char_p, ctypes.POINTER(size_t)])
+    lib = _native.load("g17", Path(__file__).with_name("_g17.c").read_text(),
+                       {"g17_format": signature})
+    if lib is None:
+        return None
+
+    def g17(values: np.ndarray) -> tuple[list[str], int]:
+        n, left = len(values), size_t()
+        out = ctypes.create_string_buffer(24 * n)  # a text and its separator take at most 24 bytes
+        size = lib.g17_format(values.astype(np.float64, copy=False).tobytes(), n, out, left)
+        return out[:size].decode("ascii").split("\n"), left.value
+
+    return g17
 
 
-def _repr_strings(values: list) -> list[str]:
-    return list(map(repr, values))
+def _g17_strings(values: np.ndarray) -> list[str]:
+    g17 = _g17_native()
+    if g17 is None:
+        values = values.tolist()
+        # one % call for the whole column: the fastest way to format %.17g in Python
+        return ("\n".join(["%.17g"] * len(values)) % tuple(values)).split("\n")
+    texts, left = g17(values)
+    if left:
+        texts = [text or "%.17g" % x for text, x in zip(texts, values.tolist())]
+    return texts
+
+
+def _repr_strings(values: np.ndarray) -> list[str]:
+    return list(map(repr, values.tolist()))
 
 
 def _write_rows(out, table: np.ndarray, parts: list[str], strings, sep: str) -> None:
     """Write each row of table as parts[0], column 0, parts[1], ..., parts[-1].
 
-    Rows are joined by sep.  strings maps a list of Python floats (not
-    np.float64, whose repr differs) to their texts.  Columns are compared by
-    their bits (an int64 view, so 0.0 and -0.0 differ), and in each block a
-    column is written by the first rule that fits:
+    Rows are joined by sep.  strings maps a float64 array to the texts of
+    its values.  Columns are compared by their bits (an int64 view, so 0.0
+    and -0.0 differ), and in each block a column is written by the first
+    rule that fits:
 
     1. constant in the block (lo == hi): formatted once, into the row's text;
     2. equal to an earlier column: reuses its strings;
@@ -117,7 +152,7 @@ def _write_rows(out, table: np.ndarray, parts: list[str], strings, sep: str) -> 
         for j, part in enumerate(parts[1:]):
             col = bits[j]
             if lo[j] == hi[j]:
-                lits[-1] += strings(col[:1].view(np.float64).tolist())[0] + part
+                lits[-1] += strings(col[:1].view(np.float64))[0] + part
                 continue
             key = col.tobytes()
             if key not in seen:
@@ -126,10 +161,10 @@ def _write_rows(out, table: np.ndarray, parts: list[str], strings, sep: str) -> 
                     seen[key] = [t[1:] if t[0] == "-" else "-" + t for t in negated]
                 elif hi[j] - lo[j] < n:
                     distinct, index = np.unique(col, return_inverse=True)
-                    texts = strings(distinct.view(np.float64).tolist())
+                    texts = strings(distinct.view(np.float64))
                     seen[key] = [texts[i] for i in index.tolist()]
                 else:
-                    seen[key] = strings(col.view(np.float64).tolist())
+                    seen[key] = strings(col.view(np.float64))
             cols.append(seen[key])
             lits.append(part)
         stride = 2 * len(cols) + 1  # a row: literal, column, literal, ..., column, literal

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import galmag.oracle as oracle
-from galmag.cli import _FRAME, _write_csv, _write_json, main
+from galmag.cli import MAX_SAMPLES, _FRAME, _sample_grid, _write_csv, _write_json, main
 from galmag.frenet import frenet_frame
 from galmag.magnetic import KillingField, MagneticIC, solve_magnetic
 
@@ -252,7 +253,8 @@ class TestSolveErrors:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["solve", "frenet"])
-    @pytest.mark.parametrize("grid", [["0:1", "--samples", "10000000001"], ["0:1:1e-8"]])
+    @pytest.mark.parametrize("grid", [["0:1", "--samples", "10000000001"], ["0:1:1e-8"],
+                                      ["0:1", "--samples", "1000001"]])
     def test_huge_grid_rejected_before_allocation(self, capsys, monkeypatch, command, grid):
         def refuse(*args, **kwargs):
             raise AssertionError("the sample grid was allocated")
@@ -262,6 +264,11 @@ class TestSolveErrors:
         code, _, err = run(capsys, [command, *GREEN_ARGS, "--range", *grid])
         assert code == 2
         assert err.startswith("error: invalid-flags")
+
+    def test_grid_at_the_limit_is_accepted(self):
+        args = argparse.Namespace(srange="0:1", samples=MAX_SAMPLES)
+        assert MAX_SAMPLES == 10**6
+        assert len(_sample_grid(args)) == MAX_SAMPLES
 
     @pytest.mark.parametrize("argv", [
         ["--mode", "nmagnetic", "--v", "1e-200,0,0", "--ic", "T0=1"],
@@ -730,7 +737,7 @@ def tables(draw):
 # takes minutes; the failing table is reported as drawn.
 @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(tables())
-def test_writers_equal_the_reference_writers(table):
+def test_writers_equal_the_reference_writers(csv_formatter, table):
     new, old = io.StringIO(), io.StringIO()
     _write_csv(new, "h", table)
     _reference_write_csv(old, "h", table)
