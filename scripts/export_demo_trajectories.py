@@ -48,13 +48,8 @@ STEP = 1e-3  # RK4 step of the cross-check
 
 def write_csv(path, curve, s_start, s_end, step=0.01):
     grid = np.arange(s_start, s_end + 0.5 * step, step)
-    with open(path, "w") as out:
-        out.write("s,x,y,z\n")
-        for s in grid:
-            s = float(s)
-            out.write(
-                f"{s:.17g},{s:.17g},{curve.y.eval(s):.17g},{curve.z.eval(s):.17g}\n"
-            )
+    table = np.column_stack((grid, grid, curve.y.eval(grid), curve.z.eval(grid)))
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="s,x,y,z", comments="")
     return len(grid)
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import re
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import astuple, fields
 
 import numpy as np
@@ -49,15 +49,7 @@ _FRAME = ('{"s": %r, "T": [%r, %r, %r], "N": [%r, %r, %r], "B": [%r, %r, %r], '
 
 
 class _CliError(Exception):
-    def __init__(self, reason: str, detail: str = ""):
-        self.reason = reason
-        self.detail = detail
-        super().__init__(reason)
-
-    def line(self) -> str:
-        if self.detail:
-            return f"error: {self.reason} ({self.detail})"
-        return f"error: {self.reason}"
+    """A refused input: its reason and detail form the stderr line."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,8 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
     # one-line machine-readable reason instead of argparse's usage dump
     def error(self, message):
-        print(f"error: invalid-flags ({message})", file=sys.stderr)
-        raise SystemExit(2)
+        raise _CliError("invalid-flags", message)
 
 
 def _fmt(value: float) -> str:
@@ -201,9 +192,6 @@ def _build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--mode", choices=("magnetic", "nmagnetic"), required=True)
         p.add_argument("--v", help="field coefficients v1,v2,v3 (default 0,0,0)")
-        p.add_argument("--v1", type=float, help="override first field coefficient")
-        p.add_argument("--v2", type=float, help="override second field coefficient")
-        p.add_argument("--v3", type=float, help="override third field coefficient")
         p.add_argument(
             "--ic",
             default="",
@@ -254,9 +242,6 @@ def _parse_field(args) -> KillingField:
             v = [float(p) for p in parts]
         except ValueError:
             raise _CliError("invalid-field", f"non-numeric component in {args.v!r}")
-    for i, override in enumerate((args.v1, args.v2, args.v3)):
-        if override is not None:
-            v[i] = override
     if not all(map(math.isfinite, v)):
         raise _CliError("invalid-field", f"non-finite component in v = {v}")
     return KillingField(*v)
@@ -348,10 +333,15 @@ def _check_finite(header: str, table: np.ndarray) -> None:
         raise _CliError("nonfinite-output", f"{value} at s = {_fmt(table[row, 0])}")
 
 
+@contextmanager
 def _open_output(args):
+    """The --output file, else stdout; either is flushed on exit, so a failed write raises."""
     if getattr(args, "output", None):
-        return open(args.output, "w")
-    return nullcontext(sys.stdout)
+        with open(args.output, "w") as out:
+            yield out
+    else:
+        yield sys.stdout
+        sys.stdout.flush()
 
 
 def _cmd_solve(args) -> int:
@@ -368,7 +358,6 @@ def _cmd_solve(args) -> int:
             f"helix axis: y = {_fmt(helix.a)}*s + {_fmt(helix.b)}, "
             f"z = {_fmt(helix.c)}*s + {_fmt(helix.d)}"
         )
-    print("\n".join(lines), file=sys.stderr)
     with _open_output(args) as out:
         if args.format == "csv":
             _write_csv(out, "s,x,y,z", table)
@@ -378,15 +367,14 @@ def _cmd_solve(args) -> int:
             }
             doc = {"case": case, "kappa": kappa, "tau": tau, "helix": helix_doc}
             _write_json(out, doc, table, "[%r, %r, %r, %r]")
+    # after the table: a refused or failed write leaves its error line alone on stderr
+    print("\n".join(lines), file=sys.stderr)
     return 0
 
 
 def _cmd_frenet(args) -> int:
     curve = _solve_curve(args)
     grid = _sample_grid(args)
-    flat = frenet.curvature(curve, grid) == 0.0
-    if flat.any():
-        raise _CliError("zero-curvature", f"kappa vanishes at s = {_fmt(grid[flat.argmax()])}")
     f = frenet.frenet_frame(curve, grid)
     table = np.column_stack((grid, f.T, f.N, f.B, f.kappa, f.tau))
     header = "s,t1,t2,t3,n1,n2,n3,b1,b2,b3,kappa,tau"
@@ -414,10 +402,12 @@ def _cmd_verify(args) -> int:
     lines += [f"{key} = {_fmt(value)}" for key, value in metrics.items()]
     ok = all(value < tol for value in metrics.values())
     lines += [f"tolerance = {_fmt(tol)}", f"status = {'pass' if ok else 'fail'}"]
-    print("\n".join(lines))
+    with _open_output(args) as out:
+        print("\n".join(lines), file=out)
     return 0 if ok else 1
 
 
+_COMMANDS = {"solve": _cmd_solve, "verify": _cmd_verify, "frenet": _cmd_frenet}
 _REASONS = {IncompatibleIC: "incompatible-ic", ZeroCurvature: "zero-curvature",
             NonFiniteState: "nonfinite-state"}
 
@@ -425,18 +415,18 @@ _REASONS = {IncompatibleIC: "incompatible-ic", ZeroCurvature: "zero-curvature",
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    command = {"solve": _cmd_solve, "verify": _cmd_verify, "frenet": _cmd_frenet}
-    try:
         # numpy's floating-point warnings name no input; the commands check their output
         with np.errstate(all="ignore"):
-            return command[args.command](args)
+            return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help
+        return exc.code if isinstance(exc.code, int) else 2
     except _CliError as exc:
-        print(exc.line(), file=sys.stderr)
+        reason, detail = exc.args
+    except OSError as exc:  # the output is the only file a command opens or writes
+        reason, detail = "unwritable-output", exc
     except (GalmagError, ValueError) as exc:
-        reason = _REASONS.get(type(exc), "invalid-input")
-        print(f"error: {reason} ({exc})", file=sys.stderr)
+        reason, detail = _REASONS.get(type(exc), "invalid-input"), exc
+    print(f"error: {reason} ({detail})", file=sys.stderr)
     return 2
 
 

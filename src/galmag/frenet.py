@@ -62,7 +62,7 @@ def frenet_frame(curve, s) -> FrenetFrame:
     flat = kappa == 0.0
     if np.any(flat):
         at = s[np.argmax(flat)] if isinstance(s, np.ndarray) else s
-        raise ZeroCurvature(f"Frenet frame undefined at s = {at}: curvature is zero")
+        raise ZeroCurvature(f"kappa vanishes at s = {float(at):.17g}")
     _, a2, a3 = _components(acc)
     _, j2, j3 = _components(curve.eval(s, 3))
     n2, n3 = a2 / kappa, a3 / kappa

@@ -42,6 +42,14 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def run_process(argv, stdout=subprocess.PIPE):
+    """galmag.cli in a fresh process: stderr is what a user sees, outside pytest's capture."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "galmag.cli", *argv], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+
+
 def parse_report(out):
     report = {}
     for line in out.strip().splitlines():
@@ -121,15 +129,6 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["kappa"] == 0.0
         assert doc["tau"] is None
-
-    def test_individual_field_flags_override(self, capsys):
-        code1, out1, _ = run(
-            capsys, ["solve", "--mode", "magnetic", "--v", "0,9,1",
-                     "--v2", "1", "--ic", "y0=1,Y0=5,z0=4,Z0=3", "--range", "0:1"]
-        )
-        code2, out2, _ = run(capsys, ["solve", *GREEN_ARGS, "--range", "0:1"])
-        assert code1 == code2 == 0
-        assert out1 == out2
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "samples.csv"
@@ -222,6 +221,13 @@ class TestSolveErrors:
         code, _, err = run(capsys, ["solve", "--mode", "bmagnetic", "--range", "0:1"])
         assert code == 2
         assert err.startswith("error: invalid-flags")
+
+    def test_field_component_flag_refused(self, capsys):
+        # --v is the one way to give the field
+        code, out, err = run(capsys, ["verify", *HELIX_ARGS, "--v1", "1", "--range", "0:1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid-flags (unrecognized arguments: --v1 1)\n"
 
     def test_step_and_samples_conflict(self, capsys):
         code, _, err = run(
@@ -333,7 +339,8 @@ class TestNegativeValues:
 
     def test_field_component(self, capsys):
         code, out, _ = run(
-            capsys, ["verify", *HELIX_ARGS, "--v1", "-2e-1", "--v2", "-1", "--range", "0:1"]
+            capsys, ["verify", "--mode", "magnetic", "--v", "-2e-1,-1,0", "--ic", "Z0=1",
+                     "--range", "0:1"]
         )
         assert code == 0
         assert float(parse_report(out)["tau"]) == pytest.approx(-0.2)
@@ -582,27 +589,49 @@ class TestNonFiniteOutput:
         assert err.startswith("error: nonfinite-output (") and where in err
 
 
+class TestUnwritableOutput:
+    """An output that cannot be opened or written ends in one error line and exit 2."""
+
+    DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                  reason="no /dev/full, the device whose every write fails")
+
+    @pytest.mark.parametrize("command", [
+        ["solve", *GREEN_ARGS, "--range=0:1"],
+        ["frenet", *HELIX_ARGS, "--range=0:1", "--format=json"],
+    ])
+    @pytest.mark.parametrize("path", [".", "missing/out.csv",
+                                      pytest.param("/dev/full", marks=DEV_FULL)])
+    def test_refused_with_one_line(self, capsys, monkeypatch, tmp_path, command, path):
+        # these printed a traceback and exited 1; solve printed its summary first
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, [*command, f"--output={path}"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unwritable-output (")
+        assert err.count("\n") == 1
+
+    @DEV_FULL
+    def test_full_stdout(self):
+        with open("/dev/full", "w") as full:
+            proc = run_process(["solve", *GREEN_ARGS, "--range=0:1"], stdout=full)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unwritable-output ([Errno 28] No space left on device)\n"
+
+
 class TestWarnings:
     """Run as a process: stderr is what a user sees, outside pytest's warning capture."""
 
-    @staticmethod
-    def run_process(argv):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-        return subprocess.run([sys.executable, "-m", "galmag.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
-
     def test_rejected_solve_prints_its_error_alone(self):
-        proc = self.run_process(["solve", "--mode=magnetic", "--v=1e-160,0,1", "--ic=y0=1",
-                                 "--range=0:1", "--samples=3"])
+        proc = run_process(["solve", "--mode=magnetic", "--v=1e-160,0,1", "--ic=y0=1",
+                            "--range=0:1", "--samples=3"])
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: nonfinite-output (r = inf at s = 0)\n"
 
     def test_tiny_v1_solves_without_a_warning(self):
         # v1 = 1e-13 warned that the coefficients may lose all precision; none divides by v1 now
-        proc = self.run_process(["solve", "--mode=magnetic", "--v=1e-13,0.5,0.7",
-                                 "--range=0:1", "--samples=3"])
+        proc = run_process(["solve", "--mode=magnetic", "--v=1e-13,0.5,0.7",
+                            "--range=0:1", "--samples=3"])
         assert proc.returncode == 0
         lines = proc.stderr.splitlines()
         assert [line.split(":")[0] for line in lines] == [
@@ -657,18 +686,16 @@ class TestRepeatedCalls:
         ["frenet", *HELIX_ARGS, "--range=0:1:0.5"],
         ["verify", "--mode", "magnetic", "--v", "-1,0,0", "--ic", "Z0=1", "--range", "0:1"],
         ["verify", "--help"],
+        ["solve", *GREEN_ARGS, "--range=0:1", "--output=."],
     ]
 
     def test_repeats_equal_first_runs_and_fresh_processes(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
         first = [run(capsys, argv) for argv in self.ARGVS]
         assert [run(capsys, argv) for argv in self.ARGVS] == first
-        assert [code for code, _, _ in first] == [2, 0, 0, 0, 1, 0, 0, 0]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        assert [code for code, _, _ in first] == [2, 0, 0, 0, 1, 0, 0, 0, 2]
         for argv, result in zip(self.ARGVS, first):
-            proc = subprocess.run([sys.executable, "-m", "galmag.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=60)
+            proc = run_process(argv)
             assert (proc.returncode, proc.stdout, proc.stderr) == result, argv
 
 

@@ -1,9 +1,14 @@
 """Smoke tests of the runnable scripts, run as their own processes."""
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from galmag.magnetic import KillingField, MagneticIC, solve_magnetic
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -31,3 +36,8 @@ def test_export_demo_trajectories(tmp_path):
     proc = run_script("export_demo_trajectories.py", "--outdir", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert len(list((tmp_path / "out").glob("*.csv"))) == 7
+    # the array evaluation writes each row as the scalar evaluation formats it
+    curve = solve_magnetic(KillingField(0, 1, 1), MagneticIC(y0=1, Y0=5, z0=4, Z0=3))
+    grid = np.arange(0.0, math.pi + 0.005, 0.01).tolist()
+    rows = ["%.17g,%.17g,%.17g,%.17g" % (s, s, curve.y.eval(s), curve.z.eval(s)) for s in grid]
+    assert (tmp_path / "out" / "magnetic_v011.csv").read_text() == "\n".join(["s,x,y,z", *rows, ""])
