@@ -202,7 +202,7 @@ def _build_parser() -> _Parser:
             "--range",
             required=True,
             dest="srange",
-            help="parameter window start:end[:step]",
+            help="parameter window start:end[:step] (verify: start:end)",
         )
 
     def add_output(p):
@@ -392,7 +392,9 @@ def _cmd_verify(args) -> int:
     if not tol >= 0.0:  # nan too: no metric could pass it
         raise _CliError("invalid-tolerance", "tolerance must be non-negative")
     curve = _solve_curve(args)
-    s_start, s_end, _ = _parse_range(args)
+    s_start, s_end, step = _parse_range(args)
+    if step is not None:
+        raise _CliError("invalid-range", "verify takes its RK4 step from --step")
     case, kappa, tau, helix = _summary(curve, s_start)
     metrics = verify(curve, s_start, s_end, args.step)
     tau_text = "nan" if tau is None else _fmt(tau)

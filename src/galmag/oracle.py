@@ -288,13 +288,17 @@ def integrate(
 
 
 def _rk4_chunks(
-    rhs: Callable[[tuple], tuple], initial: Sequence[float], cfg: IntegratorConfig
+    rhs: Callable[[tuple], tuple], initial: Sequence[float], cfg: IntegratorConfig,
+    sign: float = 1.0,
 ) -> Iterator[SampledCurve]:
     """`integrate`'s RK4, yielded in order as chunks of at most _RK4_CHUNK rows.
 
+    With sign -1.0 it steps on the negated grid s = -u of cfg's grid of u,
+    from s = -cfg.s_start down to s = -cfg.s_end, and yields that grid.
     Each chunk's states are a view of one buffer that the next chunk
     overwrites, and its grid is computed on its own, so the loop holds no
-    array whose size grows with the window.  Raises as `integrate` does.
+    array whose size grows with the window.  Raises as `integrate` does,
+    with the s of the grid it steps on.
     """
     state = tuple([float(w) for w in initial])
     m = len(state)
@@ -321,6 +325,8 @@ def _rk4_chunks(
         # grid starts one row early, at the point of the state it resumes from
         head = int(lo == 0)
         grid = _grid_rows(cfg, n, lo - 1 + head, hi)
+        if sign < 0.0:
+            grid = -grid
         state, comp = run(grid, state, comp, consts, buf[m * head:])
         # under + - * a non-finite component stays so: the last state tells
         if not all(map(math.isfinite, state)):
@@ -368,27 +374,6 @@ def max_deviation(
     return float(np.max(devs))
 
 
-def _deviation(
-    curve: ClosedFormCurve,
-    rhs: Callable[[tuple], tuple],
-    initial: Sequence[float],
-    cfg: IntegratorConfig,
-    u_first: float,
-    sign: float = 1.0,
-) -> float:
-    """max_deviation of the curve at s = sign*u from RK4 on cfg's grid of u,
-    over the points u >= u_first, folded chunk by chunk."""
-    deviation = 0.0
-    for chunk in _rk4_chunks(rhs, initial, cfg):
-        # the grid ascends, so the rows before the window lead each chunk
-        first = int(np.searchsorted(chunk.grid, u_first))
-        if first < len(chunk.grid):
-            sampled = SampledCurve(sign * chunk.grid[first:], chunk.states[first:])
-            # numpy's maximum, unlike Python's max, passes on a nan
-            deviation = np.maximum(deviation, max_deviation(curve, sampled))
-    return float(deviation)
-
-
 def verify(
     curve: ClosedFormCurve, s_start: float, s_end: float, step: float = 1e-3
 ) -> dict[str, float]:
@@ -396,8 +381,7 @@ def verify(
 
     RK4 integrates the raw system of the curve's mode, fed only the field
     and the initial data, from s = 0 where those hold: forward up to s_end,
-    and for s_start < 0 backward, as the negated system in u = -s, whose
-    state at u is still (y, z, y', ...) of the curve at s = -u.  The metrics
+    and for s_start < 0 backward, stepping from 0 down to s_start.  The metrics
     are ``deviation`` (largest RK4 position deviation on the window) and,
     over VERIFY_SAMPLES probes, ``residual`` (force equation),
     ``curvature_spread`` and for a helix ``helix_spread`` (distance to the
@@ -419,20 +403,22 @@ def verify(
         residual = n_magnetic_residual
 
     deviation = 0.0
-    if s_end > 0.0:
-        deviation = _deviation(curve, rhs, initial, IntegratorConfig(0.0, s_end, step), s_start)
-    if s_start < 0.0:
-        try:
-            back = _deviation(curve, lambda state: tuple([-k for k in rhs(state)]), initial,
-                              IntegratorConfig(0.0, -s_start, step), -s_end, sign=-1.0)
-        except NonFiniteState as exc:
-            raise NonFiniteState(f"state became non-finite at s = {-exc.s}", -exc.s) from None
-        deviation = float(np.maximum(deviation, back))
+    # forward over u = s in [0, s_end], backward over u = -s in [0, -s_start];
+    # the rows with u >= u_first lie in the window
+    for sign, u_end, u_first in ((1.0, s_end, s_start), (-1.0, -s_start, -s_end)):
+        if u_end > 0.0:
+            for chunk in _rk4_chunks(rhs, initial, IntegratorConfig(0.0, u_end, step), sign):
+                # u ascends, so the rows before the window lead each chunk
+                first = int(np.searchsorted(sign * chunk.grid, u_first))
+                if first < len(chunk.grid):
+                    sampled = SampledCurve(chunk.grid[first:], chunk.states[first:])
+                    # numpy's maximum, unlike Python's max, passes on a nan
+                    deviation = np.maximum(deviation, max_deviation(curve, sampled))
 
     probes = np.linspace(s_start, s_end, VERIFY_SAMPLES)
     kappas = curvature(curve, probes)
     metrics = {
-        "deviation": deviation,
+        "deviation": float(deviation),
         "residual": float(residual(curve, probes).max()),
         "curvature_spread": float(kappas.max() - kappas.min()),
     }

@@ -651,16 +651,26 @@ def test_verify_rejects_unusable_step_or_tolerance(capsys, flag, reason):
     assert err.startswith(f"error: {reason} (")
 
 
+@pytest.mark.parametrize("srange", ["0:6.2832:0.1", "-1:1:1e-3"])
+def test_verify_refuses_a_range_step(capsys, srange):
+    # the range step was ignored: 0:6.2832:0.1 ran at step 1e-3 and passed,
+    # where --step=0.1 gives deviation 5.18e-6 and fails
+    code, out, err = run(capsys, ["verify", *HELIX_ARGS, f"--range={srange}"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: invalid-range (verify takes its RK4 step from --step)\n"
+
+
 @pytest.mark.parametrize("nan_runs", [{0}, {1}, {0, 1}])
 def test_verify_fails_on_a_nan_deviation(capsys, monkeypatch, nan_runs):
     # Python's max kept an earlier deviation over a later nan
     exact, runs = oracle._rk4_chunks, []
 
-    def nan_last_row(rhs, initial, cfg):
+    def nan_last_row(rhs, initial, cfg, sign=1.0):
         nan = len(runs) in nan_runs  # 0: forward to 1, 1: backward to -1
         runs.append(cfg)
-        for chunk in exact(rhs, initial, cfg):
-            if nan and chunk.grid[-1] == cfg.s_end:
+        for chunk in exact(rhs, initial, cfg, sign):
+            if nan and chunk.grid[-1] == sign * cfg.s_end:
                 chunk.states[-1] = math.nan
             yield chunk
 

@@ -353,7 +353,8 @@ class TestIntegrate:
                                                        backward):
         # the only overflow check reads each chunk's last state: u grows
         # like e**s and overflows on the first or the last row of the second
-        # chunk; backward is verify's negated form of a system that decays
+        # chunk; backward is the negated form of a system that decays, which
+        # the system itself equals on the negated grid
         chunk = chunk or oracle._RK4_CHUNK
         monkeypatch.setattr(oracle, "_RK4_CHUNK", chunk)
         n = chunk if where == "first" else 2 * chunk - 1
@@ -370,6 +371,10 @@ class TestIntegrate:
             integrate(f, initial, cfg)
         assert str(got.value) == str(want.value)
         assert got.value.s == grid_points(cfg)[n]
+        if backward:
+            with pytest.raises(NonFiniteState) as negated:
+                list(_rk4_chunks(rhs, initial, cfg, -1.0))
+            assert negated.value.s == -got.value.s
 
     @pytest.mark.parametrize("n", [1, 700, SMALL - 2])
     def test_overflow_that_turns_nan_later_in_the_chunk(self, small_chunks, n):
@@ -645,6 +650,18 @@ class TestVerify:
             cfg = IntegratorConfig(0.0, 3.0, 2e-3)
             expected = max_deviation(crv, integrate(rhs, initial, cfg))
             assert verify(crv, 0.0, 3.0, 2e-3)["deviation"] == expected
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_backward_runs_share_the_forward_kernel(self, dim):
+        # the backward run steps the same system on the negated grid, so a
+        # window below 0 generates no second kernel
+        curve = _raw_system(dim)[0]
+        oracle._rk4_kernel.cache_clear()
+        verify(curve, 0.0, 1.0)
+        assert oracle._rk4_kernel.cache_info().currsize == 1
+        verify(curve, -1.0, 1.0)
+        verify(curve, -1.0, -0.5)
+        assert oracle._rk4_kernel.cache_info().currsize == 1
 
     # window ends in steps of H: forward runs of k*C - 1, k*C and k*C + 1 steps
     # and one ending in a short step; offset starts inside a later chunk, on
