@@ -23,9 +23,14 @@ path.  The children of both trees run in the same directory, so output
 paths and the messages naming them are the same.  For each argv the exit
 code, stdout, stderr and the bytes of every output file are compared.
 
-The first differences and a one-line summary are printed.  The exit status
-is 1 on any difference, else 0.  A run takes about half a minute on a
-2-CPU machine.
+``scripts/sameout_expected.txt`` lists the argvs whose outputs are meant
+to differ from REF, one per line as this script prints them (``galmag
+...``); blank lines and lines starting with ``#`` are skipped.  The first
+unlisted differences, every listed argv that does not differ and a
+one-line summary with the corpus digest are printed.  The exit status is 1
+on any unlisted difference or listed argv that does not differ, so an
+entry is cleared once REF holds its change, else 0.  A run takes about
+half a minute on a 2-CPU machine.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ WORKLOAD_COMMANDS = {"sample_grid": 150, "verify_many": 300, "known_defects": 30
                      "verify_long": 4}
 FUZZ_EXAMPLES = 600
 SHOWN = 10
+EXPECTED = Path(__file__).with_name("sameout_expected.txt")
 
 CHILD = r"""
 import contextlib, hashlib, io, json, os, pickle, shutil, sys
@@ -134,6 +140,12 @@ def describe(outcome) -> str:
     return json.dumps({"exit": code, "stdout": out, "stderr": err[:300], "files": files})
 
 
+def expected() -> set[str]:
+    """The `galmag ...` lines of EXPECTED."""
+    lines = (line.strip() for line in EXPECTED.read_text().splitlines())
+    return {line for line in lines if line and not line.startswith("#")}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("ref", help="the commit to compare the working tree with")
@@ -147,23 +159,29 @@ def main() -> int:
         trees = {"ref": ref_tree(ref, work), "work": ROOT}
         runs = {(name, loader): run_tree(tree, loader, corpus_file, work)
                 for loader in ("native", "fallback") for name, tree in trees.items()}
+    listed = expected()
     differ = set()
     shown = 0
     for loader in ("native", "fallback"):
         ref_results, work_results = runs["ref", loader][1], runs["work", loader][1]
-        for i, (argv, old, new) in enumerate(zip(argvs, ref_results, work_results)):
+        for argv, old, new in zip(argvs, ref_results, work_results):
             if old == new:
                 continue
-            differ.add(i)
-            if shown < SHOWN:
+            line = f"galmag {' '.join(argv)}"
+            differ.add(line)
+            if line not in listed and shown < SHOWN:
                 shown += 1
-                print(f"[{loader}] galmag {' '.join(argv)}\n  {ref}: {describe(old)}\n"
-                      f"  work: {describe(new)}")
+                print(f"[{loader}] {line}\n  {ref}: {describe(old)}\n  work: {describe(new)}")
+    stale = listed - differ
+    for line in sorted(stale):
+        print(f"listed in {EXPECTED.name} but the same as {ref}: {line}")
     native = "native converter loaded" if all(runs[k][0] for k in runs if k[1] == "native") \
         else "native converter NOT loaded"
-    print(f"sameout: {len(differ)} of {len(argvs)} argvs differ from {ref} "
-          f"(native and fallback runs; {native})")
-    return 1 if differ else 0
+    digest = hashlib.sha256(json.dumps(argvs).encode()).hexdigest()[:16]
+    print(f"sameout: {len(differ)} of {len(argvs)} argvs differ from {ref}, "
+          f"{len(differ - listed)} unlisted, {len(stale)} listed but the same "
+          f"(corpus sha256 {digest}; native and fallback runs; {native})")
+    return 1 if differ - listed or stale else 0
 
 
 if __name__ == "__main__":

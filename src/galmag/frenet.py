@@ -1,8 +1,8 @@
 """Curvature, torsion and the Frenet trihedron of admissible curves.
 
-Works on any object exposing ``eval(s, order) -> GVector3`` for orders
-0..3 with an arc-length parametrization gamma(s) = (s, y(s), z(s)); the
-closed-form solution curves provide this analytically.  The frame is
+Works on any object whose ``eval(s, order)`` maps a 1-D array s to (n, 3)
+rows of an arc-length parametrization gamma(s) = (s, y(s), z(s)) and its
+derivatives of orders 0..3, as the closed-form solution curves do.  The frame is
 
     T = (1, y', z'),  N = (0, y'', z'')/kappa,  B = (0, -z'', y'')/kappa
 
@@ -11,8 +11,7 @@ and it satisfies T' = kappa*N, N' = tau*B, B' = -tau*N.  The frame is
 undefined where kappa = 0; all operations raise ZeroCurvature there
 instead of returning NaNs.
 
-Given an array of s (and a curve whose ``eval`` takes one), every function
-but `frenet_residual` returns arrays equal to the scalar results bit for bit.
+A float s runs as a 1-row array and gives floats and GVector3s.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from galmag.errors import ZeroCurvature
-from galmag.galilean import GVector3, _components, _vector, norm
+from galmag.galilean import GVector3, _pointwise, _vector, norm
 
 __all__ = ["FrenetFrame", "curvature", "torsion", "frenet_frame", "frenet_residual"]
 
@@ -39,11 +38,13 @@ class FrenetFrame:
     tau: float
 
 
+@_pointwise
 def curvature(curve, s):
     """kappa(s) = sqrt(y''(s)**2 + z''(s)**2), the norm of the isotropic gamma''."""
     return norm(curve.eval(s, 2))
 
 
+@_pointwise
 def torsion(curve, s):
     """tau(s) = det(gamma', gamma'', gamma''') / kappa(s)**2.
 
@@ -52,25 +53,28 @@ def torsion(curve, s):
     with (n2, n3) = (y'', z'')/kappa, as kappa**2 underflows below kappa ~ 1e-162.
     Raises ZeroCurvature where kappa = 0.
     """
-    return frenet_frame(curve, s).tau
+    return _invariants(curve, s)[3]
 
 
+@_pointwise
 def frenet_frame(curve, s) -> FrenetFrame:
     """Full trihedron with curvature and torsion; raises ZeroCurvature."""
+    kappa, n2, n3, tau = _invariants(curve, s)
+    # gamma' = (1, y', z') is the unit tangent itself.
+    return FrenetFrame(T=curve.eval(s, 1), N=_vector(0.0, n2, n3), B=_vector(0.0, -n3, n2),
+                       kappa=kappa, tau=tau)
+
+
+def _invariants(curve, s):
+    """kappa, the unit normal's (n2, n3) and tau at the array s; raises ZeroCurvature."""
     acc = curve.eval(s, 2)
     kappa = norm(acc)
     flat = kappa == 0.0
-    if np.any(flat):
-        at = s[np.argmax(flat)] if isinstance(s, np.ndarray) else s
-        raise ZeroCurvature(f"kappa vanishes at s = {float(at):.17g}")
-    _, a2, a3 = _components(acc)
-    _, j2, j3 = _components(curve.eval(s, 3))
-    n2, n3 = a2 / kappa, a3 / kappa
-    n_vec = _vector(0.0, n2, n3)
-    b_vec = _vector(0.0, -n3, n2)
-    tau = (n2 * j3 - n3 * j2) / kappa
-    # gamma' = (1, y', z') is the unit tangent itself.
-    return FrenetFrame(T=curve.eval(s, 1), N=n_vec, B=b_vec, kappa=kappa, tau=tau)
+    if flat.any():
+        raise ZeroCurvature(f"kappa vanishes at s = {float(s[flat.argmax()]):.17g}")
+    jerk = curve.eval(s, 3)
+    n2, n3 = acc[:, 1] / kappa, acc[:, 2] / kappa
+    return kappa, n2, n3, (n2 * jerk[:, 2] - n3 * jerk[:, 1]) / kappa
 
 
 def frenet_residual(curve, s: float, h: float = 1e-5) -> tuple[float, float, float]:
@@ -84,11 +88,10 @@ def frenet_residual(curve, s: float, h: float = 1e-5) -> tuple[float, float, flo
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"step h must be positive and finite, got {h}")
-    lo = frenet_frame(curve, s - h)
-    mid = frenet_frame(curve, s)
-    hi = frenet_frame(curve, s + h)
+    f = frenet_frame(curve, np.array([s - h, s, s + h]))
     inv2h = 1.0 / (2.0 * h)
-    r1 = norm((hi.T - lo.T) * inv2h - mid.kappa * mid.N)
-    r2 = norm((hi.N - lo.N) * inv2h - mid.tau * mid.B)
-    r3 = norm((hi.B - lo.B) * inv2h + mid.tau * mid.N)
-    return (r1, r2, r3)
+    kappa, tau = f.kappa[1], f.tau[1]
+    rows = np.array([(f.T[2] - f.T[0]) * inv2h - kappa * f.N[1],
+                     (f.N[2] - f.N[0]) * inv2h - tau * f.B[1],
+                     (f.B[2] - f.B[0]) * inv2h + tau * f.N[1]])
+    return tuple(norm(rows).tolist())

@@ -10,12 +10,13 @@ never an epsilon: the case split of the geometry is exact, and snapping
 near-zero components would silently move the case boundaries of the
 trajectory classification built on top of this module.
 
-`norm` and `cross` also take (n, 3) arrays of row vectors, classify each row
-on its own and match the GVector3 results row by row, bit for bit.
+`norm` and `cross` compute on (n, 3) arrays of row vectors, classifying each
+row on its own; a GVector3 goes through the same code as one row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,28 +61,40 @@ class GVector3:
 ZERO = GVector3(0.0, 0.0, 0.0)
 
 
-def _components(x):
-    """(x1, x2, x3) of a GVector3, or the three columns of (n, 3) rows."""
-    return x.as_tuple() if isinstance(x, GVector3) else tuple(x.T)
+def _point(value):
+    """A 1-row result as a Python float, a GVector3, or a dataclass of those."""
+    if not hasattr(value, "ndim"):  # a dataclass of rows, such as a FrenetFrame
+        return type(value)(*map(_point, vars(value).values()))
+    row = value[0].tolist()
+    return GVector3(*row) if value.ndim == 2 else row
+
+
+def _pointwise(fn):
+    """Let fn(obj, s, ...), written for a 1-D array s, take a float s as well:
+    it runs as a 1-row array, so a point and a grid share every operation."""
+    @functools.wraps(fn)
+    def wrapper(obj, s, *args, **kwargs):
+        if getattr(s, "ndim", 0):  # 0 for a float or a NumPy scalar
+            return fn(obj, s, *args, **kwargs)
+        return _point(fn(obj, np.array([s], dtype=float), *args, **kwargs))
+    return wrapper
+
+
+def _columns(x):
+    """The three columns of (n, 3) rows; a GVector3 is one row."""
+    return tuple((np.array([x.as_tuple()], dtype=float) if isinstance(x, GVector3) else x).T)
 
 
 def _vector(x1, x2, x3):
-    """A GVector3, or (n, 3) rows when any component is an array."""
-    if any(isinstance(c, np.ndarray) for c in (x1, x2, x3)):
-        return np.column_stack(np.broadcast_arrays(x1, x2, x3))
-    return GVector3(x1, x2, x3)
-
-
-def _select(cond, a, b):
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+    """(n, 3) rows from the columns x1, x2 and x3; x1 may be one float for every row."""
+    out = np.empty((len(x2), 3))
+    out[:, 0], out[:, 1], out[:, 2] = x1, x2, x3
+    return out
 
 
 def _hypot(a, b):
-    # np.hypot can differ from math.hypot in the last ulp, so arrays map
-    # math.hypot to keep them equal to the scalar results.
-    if isinstance(a, np.ndarray):
-        return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, len(a))
-    return math.hypot(a, b)
+    # np.hypot can differ from math.hypot in the last ulp: the output keeps math's
+    return np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, len(a))
 
 
 def is_isotropic(x: GVector3) -> bool:
@@ -97,9 +110,10 @@ def scalar_product(x: GVector3, y: GVector3) -> float:
 
 
 def norm(x):
-    """|x1| for non-isotropic vectors, the Euclidean yz-norm otherwise."""
-    x1, x2, x3 = _components(x)
-    return _select(x1 != 0.0, abs(x1), _hypot(x2, x3))
+    """|x1| for non-isotropic vectors, the Euclidean yz-norm otherwise, row by row."""
+    x1, x2, x3 = _columns(x)
+    out = np.where(x1 != 0.0, np.abs(x1), _hypot(x2, x3))
+    return _point(out) if isinstance(x, GVector3) else out
 
 
 def cross(x, y):
@@ -107,13 +121,15 @@ def cross(x, y):
 
     When either argument is non-isotropic the result is the isotropic
     vector (0, -(x1*y3 - x3*y1), x1*y2 - x2*y1); when both are isotropic
-    the result lies on the absolute axis, (x2*y3 - x3*y2, 0, 0).
+    the result lies on the absolute axis, (x2*y3 - x3*y2, 0, 0).  Each
+    argument is a GVector3 or (n, 3) rows; two GVector3 give a GVector3.
     """
-    x1, x2, x3 = _components(x)
-    y1, y2, y3 = _components(y)
+    x1, x2, x3 = _columns(x)
+    y1, y2, y3 = _columns(y)
     mixed = (x1 != 0.0) | (y1 != 0.0)
-    return _vector(
-        _select(mixed, 0.0, x2 * y3 - x3 * y2),
-        _select(mixed, -(x1 * y3 - x3 * y1), 0.0),
-        _select(mixed, x1 * y2 - x2 * y1, 0.0),
+    out = _vector(
+        np.where(mixed, 0.0, x2 * y3 - x3 * y2),
+        np.where(mixed, -(x1 * y3 - x3 * y1), 0.0),
+        np.where(mixed, x1 * y2 - x2 * y1, 0.0),
     )
+    return _point(out) if isinstance(x, GVector3) and isinstance(y, GVector3) else out

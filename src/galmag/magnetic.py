@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 
 from galmag.errors import IncompatibleIC, WrongCase, ZeroCurvature
-from galmag.galilean import GVector3, _vector, cross, norm
+from galmag.galilean import GVector3, _pointwise, _vector, cross, norm
 
 __all__ = [
     "KillingField",
@@ -114,8 +114,6 @@ class CurveCase(Enum):
 
 def _x_minus_sin_over_x2(x):
     """(x - sin x)/x**2, by its Taylor series where |x| < 0.5 (the difference cancels)."""
-    if not isinstance(x, np.ndarray):
-        return _series(x) if abs(x) < 0.5 else (x - math.sin(x)) / x / x
     out, small = np.empty_like(x), np.abs(x) < 0.5
     out[small], big = _series(x[small]), x[~small]
     out[~small] = (big - np.sin(big)) / big / big
@@ -123,7 +121,7 @@ def _x_minus_sin_over_x2(x):
 
 
 def _series(x):
-    x2 = x * x  # Horner's rule, in place for an array
+    x2 = x * x  # Horner's rule, in place
     acc = x2 * _S2_SERIES[-1]
     for coeff in _S2_SERIES[-2:0:-1]:
         acc += coeff
@@ -131,8 +129,8 @@ def _series(x):
     return (acc + _S2_SERIES[0]) * x
 
 
-def _basis(omega: float, s, order: int):
-    """What the order-th derivative of a `QuadSinusoid` of frequency omega needs at s.
+def _basis(omega: float, s: np.ndarray, order: int):
+    """What the order-th derivative of a `QuadSinusoid` of frequency omega needs at the array s.
 
     With x = omega*s, sigma = sin(x/2)/(x/2), t = s*sigma and g = (x - sin x)/x**2:
     C1 = t*cos(x/2), S1 = t*sin(x/2), C2 = t**2/2 and S2 = s*(s*g).
@@ -140,17 +138,12 @@ def _basis(omega: float, s, order: int):
     if order not in (0, 1, 2, 3):
         raise ValueError(f"derivative order must be 0..3, got {order}")
     x = omega * s
-    is_array = isinstance(s, np.ndarray)
-    cos, sin = (np.cos, np.sin) if is_array else (math.cos, math.sin)
     if order >= 2:
-        return cos(x), sin(x)
+        return np.cos(x), np.sin(x)
     half = 0.5 * x
-    ch, sh = cos(half), sin(half)
+    ch, sh = np.cos(half), np.sin(half)
     # sigma = 1 wherever half is 0, which includes every subnormal x
-    if is_array:
-        sigma = np.divide(sh, half, out=np.ones_like(half), where=half != 0.0)
-    else:
-        sigma = sh / half if half else 1.0
+    sigma = np.divide(sh, half, out=np.ones_like(half), where=half != 0.0)
     t = s * sigma
     if order == 1:
         return 1.0 - 2.0 * sh * sh, 2.0 * sh * ch, t, ch, sh
@@ -186,11 +179,12 @@ class QuadSinusoid:
     v: float = 0.0
     omega: float = 0.0
 
+    @_pointwise
     def eval(self, s, order: int = 0):
         """Value of the function (order 0) or of its derivative (order 1..3).
 
-        s is a float or a 1-D array; an array takes the same operations, so
-        it matches the scalar results bit for bit (np.cos/np.sin round as math's).
+        A 1-D array s gives an array.  A float s gives a float: it is
+        evaluated as a 1-row array, so it equals that row bit for bit.
         """
         return self._combine(_basis(self.omega, s, order), s, order)
 
@@ -217,7 +211,9 @@ class ClosedFormCurve:
 
     Evaluation is exact closed form at any parameter value, with hand-coded
     derivatives up to third order, so the curve can be verified on arbitrary
-    intervals.  Instances are immutable and safe to share between threads.
+    intervals.  kappa0 is the curvature |gamma''(0)|, constant along every
+    solution curve and taken once by the solver.  Instances are immutable and
+    safe to share between threads.
     """
 
     case: CurveCase
@@ -225,22 +221,18 @@ class ClosedFormCurve:
     ic: Union[MagneticIC, NMagneticIC]
     y: QuadSinusoid
     z: QuadSinusoid
+    kappa0: float
 
+    @_pointwise
     def eval(self, s, order: int = 0):
         """gamma(s) and its derivatives; the x-component is s, 1, 0, 0.
 
-        A float s gives a GVector3.  A 1-D array gives (n, 3) rows, each
-        equal bit for bit to the GVector3 at that s.
+        A 1-D array s gives (n, 3) rows.  A float s gives a GVector3: it is
+        evaluated as a 1-row array, so it equals that row bit for bit.
         """
         basis = _basis(self.y.omega, s, order)
         x1 = (s, 1.0, 0.0, 0.0)[order]
         return _vector(x1, self.y._combine(basis, s, order), self.z._combine(basis, s, order))
-
-    @property
-    def kappa0(self) -> float:
-        """Curvature |gamma''(0)|; constant along every solution curve."""
-        acc = self.eval(0.0, 2)
-        return math.hypot(acc.x2, acc.x3)
 
 
 @dataclass(frozen=True)
@@ -253,8 +245,9 @@ class HelixData:
     c: float
     d: float
 
+    @_pointwise
     def point(self, s):
-        """Axis point at s; (n, 3) rows for an array s."""
+        """Axis point at s: a GVector3, or (n, 3) rows for an array s."""
         return _vector(s, self.a * s + self.b, self.c * s + self.d)
 
 
@@ -292,21 +285,14 @@ def n_magnetic_rhs(field: KillingField, state) -> tuple[float, float, float, flo
 
 
 def _solution(case, field, ic, y: QuadSinusoid, z: QuadSinusoid) -> ClosedFormCurve:
-    curve = ClosedFormCurve(case, field, ic, y, z)
-    if not math.isfinite(curve.kappa0):  # it would print inf/nan rows with exit 0
-        raise ValueError(f"kappa0 = |gamma''(0)| overflows to {curve.kappa0!r}")
-    return curve
+    kappa0 = math.hypot(y.eval(0.0, 2), z.eval(0.0, 2))
+    if not math.isfinite(kappa0):  # it would print inf/nan rows with exit 0
+        raise ValueError(f"kappa0 = |gamma''(0)| overflows to {kappa0!r}")
+    return ClosedFormCurve(case, field, ic, y, z, kappa0)
 
 
 def solve_magnetic(field: KillingField, ic: MagneticIC) -> ClosedFormCurve:
     """Solve gamma'' = V x gamma' for the given initial data.
-
-    Parameters
-    ----------
-    field : KillingField
-        Constant field coefficients (v1, v2, v3).
-    ic : MagneticIC
-        Position and slope data at s = 0.
 
     Returns
     -------
@@ -331,14 +317,6 @@ def solve_magnetic(field: KillingField, ic: MagneticIC) -> ClosedFormCurve:
 
 def solve_n_magnetic(field: KillingField, ic: NMagneticIC) -> ClosedFormCurve:
     """Solve N' = V x N for a curve of constant curvature kappa0.
-
-    Parameters
-    ----------
-    field : KillingField
-        Constant field coefficients (v1, v2, v3).
-    ic : NMagneticIC
-        Initial data up to second order; kappa0 = sqrt(T0**2 + U0**2) is
-        derived from them and must be nonzero.
 
     Returns
     -------
@@ -404,6 +382,7 @@ def helix_decomposition(curve: ClosedFormCurve) -> HelixData:
                      z.c1 + z.v / w, z.c0 + (z.q + z.u / w) / w)
 
 
+@_pointwise
 def lorentz_residual(curve: ClosedFormCurve, s):
     """Galilean norm of gamma''(s) - V x gamma'(s); an array for an array s."""
     acc = curve.eval(s, 2)
@@ -411,10 +390,9 @@ def lorentz_residual(curve: ClosedFormCurve, s):
     return norm(acc - force)
 
 
+@_pointwise
 def n_magnetic_residual(curve: ClosedFormCurve, s):
-    """Galilean norm of N'(s) - V x N(s) for the unit normal N.
-
-    s may be a 1-D array, which gives an array of norms.
+    """Galilean norm of N'(s) - V x N(s) for the unit normal N; an array for an array s.
 
     Raises ZeroCurvature when the curve's constant curvature vanishes.
     """

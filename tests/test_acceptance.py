@@ -62,13 +62,11 @@ def test_criterion_2_helix_case():
 
     helix = helix_decomposition(crv)
     samples = np.linspace(0.0, 2 * math.pi, 1000)
-    kappas = [curvature(crv, s) for s in samples]
-    kappa_spread = max(kappas) - min(kappas)
-    kappa_err = max(abs(k - HELIX_FIELD.v1**2 * helix.r) for k in kappas)
-    tau_err = max(abs(torsion(crv, s) - HELIX_FIELD.v1) for s in samples)
-    dist_err = max(
-        abs(norm(crv.eval(s, 0) - helix.point(s)) - helix.r) for s in samples
-    )
+    kappas = curvature(crv, samples)
+    kappa_spread = kappas.max() - kappas.min()
+    kappa_err = np.abs(kappas - HELIX_FIELD.v1**2 * helix.r).max()
+    tau_err = np.abs(torsion(crv, samples) - HELIX_FIELD.v1).max()
+    dist_err = np.abs(norm(crv.eval(samples, 0) - helix.point(samples)) - helix.r).max()
     ok = (
         deviation < 1e-9
         and kappa_spread < 1e-9
@@ -90,9 +88,7 @@ def test_criterion_3_quadratic_trajectory_reproduction():
     ic = NMagneticIC(y0=4, Y0=3, T0=1, z0=1, Z0=2, U0=1)
     crv = solve_n_magnetic(field, ic)
     deviation = verify(crv, 0.0, 5.0)["deviation"]
-    kappa_err = max(
-        abs(curvature(crv, s) - math.sqrt(2)) for s in np.linspace(0, 5, 1000)
-    )
+    kappa_err = np.abs(curvature(crv, np.linspace(0, 5, 1000)) - math.sqrt(2)).max()
     ok = deviation < 1e-10 and kappa_err < 1e-9
     check(
         3,
@@ -123,10 +119,8 @@ def test_criterion_4_randomized_helix_suite():
         crv = solve_n_magnetic(field, ic)
         worst_dev = max(worst_dev, verify(crv, 0.0, s_end)["deviation"])
         probes = np.linspace(0.0, s_end, 1000)
-        worst_kappa = max(
-            worst_kappa, max(abs(curvature(crv, s) - ic.kappa0) for s in probes)
-        )
-        worst_res = max(worst_res, max(n_magnetic_residual(crv, s) for s in probes))
+        worst_kappa = max(worst_kappa, np.abs(curvature(crv, probes) - ic.kappa0).max())
+        worst_res = max(worst_res, n_magnetic_residual(crv, probes).max())
     ok = worst_dev < 1e-8 and worst_kappa < 1e-8 and worst_res < 1e-9
     check(
         4,
@@ -169,9 +163,7 @@ def test_criterion_5_constraint_enforcement():
         )
         crv = solve_n_magnetic(field, ic)
         assert verify(crv, 0.0, 2.0)["deviation"] < 1e-10
-        assert max(
-            n_magnetic_residual(crv, s) for s in np.linspace(0, 2, 200)
-        ) < 1e-9
+        assert n_magnetic_residual(crv, np.linspace(0, 2, 200)).max() < 1e-9
         accepted += 1
 
     # boundary set: constraint exactly zero in floating point

@@ -1,8 +1,9 @@
-"""Array evaluation must equal scalar evaluation bit for bit.
+"""A point must evaluate to its row in a grid, bit for bit.
 
-The CLI evaluates whole grids through the array path; these tests hold it
-to the scalar path point by point, comparing the bytes of the doubles (so
-even the sign of a zero, which the output shows, must agree).
+A float s runs through the array code as a 1-row array.  These tests hold
+each point to its row in a grid that the CLI evaluates in one call,
+comparing the bytes of the doubles (so even the sign of a zero, which the
+output shows, must agree).
 """
 
 import numpy as np
@@ -63,9 +64,13 @@ def assert_bits_equal(array, expected):
 def test_curve_eval_matches_scalar(crv, grid):
     points = grid.tolist()
     for order in range(4):
-        assert_bits_equal(crv.eval(grid, order), rows(crv.eval(s, order) for s in points))
-        for part in (crv.y, crv.z):
-            assert_bits_equal(part.eval(grid, order), [part.eval(s, order) for s in points])
+        table = crv.eval(grid, order)
+        assert_bits_equal(table, rows(crv.eval(s, order) for s in points))
+        # y and z run crv.eval's code: their columns, and a float s at the ends
+        for column, part in ((1, crv.y), (2, crv.z)):
+            assert_bits_equal(part.eval(grid, order), table[:, column])
+            ends = [part.eval(s, order) for s in (points[0], points[-1])]
+            assert_bits_equal(table[[0, -1], column], ends)
 
 
 @given(curves(), grids)

@@ -588,6 +588,14 @@ class TestNonFiniteOutput:
         assert err.count("\n") == 1
         assert err.startswith("error: nonfinite-output (") and where in err
 
+    def test_overflowing_phase_at_the_window_start(self, capsys):
+        # v1*s = 3e308 overflows at s = -3: cos(inf) is nan, so the summary's
+        # torsion at the float s = -3 is nan, a non-finite output, not an invalid input
+        code, out, err = run(capsys, ["verify", "--mode=magnetic", "--v=-1e308,-1e308,1e-13",
+                                      "--ic=z0=1e-200,Z0=0.5,y0=-2,Y0=0.5", "--range=-3:1"])
+        assert (code, out) == (2, "")
+        assert err == "error: nonfinite-output (tau = nan at s = -3)\n"
+
 
 class TestUnwritableOutput:
     """An output that cannot be opened or written ends in one error line and exit 2."""

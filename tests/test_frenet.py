@@ -156,8 +156,8 @@ class TestFrenetResidual:
 class TestConstantCurvature:
     def test_parabola_value(self):
         samples = np.linspace(-3, 3, 1000)
-        kappas = [curvature(PARABOLA, s) for s in samples]
-        assert max(kappas) - min(kappas) < 1e-9
+        kappas = curvature(PARABOLA, samples)
+        assert kappas.max() - kappas.min() < 1e-9
         assert kappas[0] == pytest.approx(math.hypot(1.0, 1.0), abs=1e-12)
 
     def test_magnetic_helix_value(self):
@@ -167,8 +167,8 @@ class TestConstantCurvature:
         b = (2 - 0.5 / v1) / v1
         expected = v1 * v1 * math.hypot(a, b)
         samples = np.linspace(0, 4 * math.pi, 1000)
-        kappas = [curvature(crv, s) for s in samples]
-        assert max(kappas) - min(kappas) < 1e-9
+        kappas = curvature(crv, samples)
+        assert kappas.max() - kappas.min() < 1e-9
         assert kappas[0] == pytest.approx(expected, rel=1e-12)
 
     def test_nmagnetic_values(self):
@@ -181,6 +181,6 @@ class TestConstantCurvature:
         for field, ic, expected in cases:
             crv = solve_n_magnetic(field, ic)
             samples = np.linspace(0, 5, 1000)
-            kappas = [curvature(crv, s) for s in samples]
-            assert max(kappas) - min(kappas) < 1e-9
+            kappas = curvature(crv, samples)
+            assert kappas.max() - kappas.min() < 1e-9
             assert kappas[0] == pytest.approx(expected, rel=1e-12)

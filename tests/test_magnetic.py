@@ -354,6 +354,16 @@ class TestClosedFormCurve:
         with pytest.raises(ValueError):
             QuadSinusoid(c0=1.0).eval(0.0, 5)
 
+    def test_overflowing_phase_gives_nan_at_a_float_s(self):
+        # v1*s = 3e308 overflows at s = -3: a float s must give cos(inf) = nan as
+        # a grid does, not the "math domain error" that math.cos(inf) raises
+        crv = solve_magnetic(KillingField(-1e308, -1e308, 1e-13), MagneticIC(-2, 0.5, 1e-200, 0.5))
+        with np.errstate(all="ignore"):  # as the CLI runs it: the overflow is the point
+            acc = crv.eval(-3.0, 2)
+            rows = crv.eval(np.array([-3.0]), 2)
+        assert not (math.isfinite(acc.x2) and math.isfinite(acc.x3))
+        assert np.array(acc.as_tuple()).tobytes() == rows.tobytes()
+
     def test_first_components_by_order(self):
         crv = solve_magnetic(KillingField(2, 1, 1), MagneticIC(1, 2, 3, 4))
         s = 0.37
