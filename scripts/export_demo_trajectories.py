@@ -48,7 +48,7 @@ STEP = 1e-3  # RK4 step of the cross-check
 
 def write_csv(path, curve, s_start, s_end, step=0.01):
     grid = np.arange(s_start, s_end + 0.5 * step, step)
-    table = np.column_stack((grid, grid, curve.y.eval(grid), curve.z.eval(grid)))
+    table = np.column_stack((grid, curve.eval(grid)))
     np.savetxt(path, table, fmt="%.17g", delimiter=",", header="s,x,y,z", comments="")
     return len(grid)
 

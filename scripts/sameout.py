@@ -12,8 +12,10 @@ fixed:
 * 600 derandomized examples of ``tests/test_cli_fuzz.py``'s argv strategy;
 * ``verify`` argvs whose RK4 state overflows in its second chunk, forward
   and backward;
+* a helix ``frenet`` table written as JSON;
 * refusals: a zero curvature, an ``--output`` that is a directory, a
-  removed flag and a ``verify`` range step.
+  removed flag, a ``verify`` range step, an ``--ic`` item without ``=``,
+  an unknown and a repeated ``--ic`` key, and a range of four parts.
 
 The corpus runs in the working tree and in REF's committed files (taken
 with ``git archive``, so the repository's own state is left alone).  Each
@@ -108,6 +110,12 @@ def corpus() -> list[list[str]]:
         ["verify", "--mode=magnetic", "--v1", "1", "--ic=Z0=1", "--range=0:1"],
         ["verify", *helix, "--range=0:6.2832:0.1"],
         ["verify", *helix, "--range=-1:1", "--step=0.01"],
+        ["frenet", "--mode=magnetic", "--v=1,0.5,0.7", "--ic=Z0=1", "--range=0:20",
+         "--samples=4000", "--format=json", "--output=out/f.json"],
+        ["solve", *helix[:2], "--ic=Z0", "--range=0:1"],
+        ["solve", *helix[:2], "--ic=Z0=1,T0=1", "--range=0:1"],
+        ["solve", *helix[:2], "--ic=Z0=1,Z0=2", "--range=0:1"],
+        ["solve", *helix, "--range=0:1:2:3"],
     ]
     return argvs
 

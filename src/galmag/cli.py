@@ -347,7 +347,7 @@ def _open_output(args):
 def _cmd_solve(args) -> int:
     curve = _solve_curve(args)
     grid = _sample_grid(args)
-    table = np.column_stack((grid, grid, curve.y.eval(grid), curve.z.eval(grid)))
+    table = np.column_stack((grid, curve.eval(grid)))
     _check_finite("s,x,y,z", table)
     case, kappa, tau, helix = _summary(curve, float(grid[0]))
     tau_text = "nan" if tau is None else _fmt(tau)

@@ -78,10 +78,6 @@ class SampledCurve:
     grid: np.ndarray
     states: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
 
 def _grid_size(cfg: IntegratorConfig) -> tuple[int, int]:
     """(n, rows): grid_points(cfg) is the `rows` points s_start + i*step for
@@ -336,40 +332,27 @@ def _rk4_chunks(
         yield SampledCurve(grid[1 - head:], buf[:m * (hi - lo)].reshape(hi - lo, m))
 
 
-def max_deviation(
-    closed: ClosedFormCurve, sampled: SampledCurve, components: str = "position"
-) -> float:
-    """Chebyshev distance between a closed form and a sampled trajectory.
+def max_deviation(closed: ClosedFormCurve, sampled: SampledCurve) -> float:
+    """Chebyshev distance between a closed form's positions and a sampled trajectory's.
 
     Parameters
     ----------
     closed : ClosedFormCurve
         Analytic reference, evaluated at every grid point of the sample.
     sampled : SampledCurve
-        Integrator output with state layout (y, z, y', z') or
-        (y, z, y', z', y'', z'').
-    components : {"position", "full"}
-        Compare positions only (default) or every state component against
-        the matching analytic derivative.
+        States whose first two columns are the positions (y, z), as in
+        RK4's (y, z, y', z') or (y, z, y', z', y'', z''); any further
+        columns are not compared.
 
     Returns
     -------
     float
-        Maximum absolute difference over all grid points and compared
-        components; nan if any compared value is nan.
+        Maximum absolute difference of y and z over all grid points; nan if
+        any compared value is nan.
     """
-    if components not in ("position", "full"):
-        raise ValueError(f"components must be 'position' or 'full', got {components!r}")
-    dim = sampled.dim
-    if dim not in (4, 6):
-        raise ValueError(f"state dimension must be 4 or 6, got {dim}")
-    orders = (0,) if components == "position" else (0, 1) if dim == 4 else (0, 1, 2)
     grid, states = sampled.grid, sampled.states
-    devs = [
-        np.abs(states[start:start + _CHUNK, 2 * order:2 * order + 2]
-               - closed.eval(grid[start:start + _CHUNK], order)[:, 1:]).max()
-        for start in range(0, len(grid), _CHUNK) for order in orders
-    ]
+    devs = [np.abs(states[i:i + _CHUNK, :2] - closed.eval(grid[i:i + _CHUNK])[:, 1:]).max()
+            for i in range(0, len(grid), _CHUNK)]
     # numpy's max, unlike Python's, passes on a nan in any position
     return float(np.max(devs))
 

@@ -222,6 +222,16 @@ class TestGrid:
         assert np.allclose(sampled.states[:, 0], sampled.grid, atol=1e-15)
 
 
+def _derivative_deviation(closed, sampled):
+    """Largest difference of the state's (y', z') and (y'', z'') columns from
+    the closed form's first and second derivatives; nan if any is nan."""
+    return float(np.max([
+        np.abs(sampled.states[:, 2 * order:2 * order + 2]
+               - closed.eval(sampled.grid, order)[:, 1:]).max()
+        for order in (1, 2)
+    ]))
+
+
 class TestIntegrate:
     def test_exact_on_straight_lines(self):
         field = KillingField(0, 0, 0)
@@ -254,7 +264,8 @@ class TestIntegrate:
         for step in (0.5, 1e-2, 1e-3):
             cfg = IntegratorConfig(0.0, 5.0, step=step)
             sampled = integrate(partial(n_magnetic_rhs, field), nmagnetic_initial(ic), cfg)
-            assert max_deviation(crv, sampled, components="full") < 1e-11
+            assert max_deviation(crv, sampled) < 1e-11
+            assert _derivative_deviation(crv, sampled) < 1e-11
 
     def test_nmagnetic_helix_full_state(self):
         field = KillingField(1.0, 0.4, -0.3)
@@ -262,7 +273,8 @@ class TestIntegrate:
         crv = solve_n_magnetic(field, ic)
         cfg = IntegratorConfig(0.0, 4 * math.pi, step=1e-3)
         sampled = integrate(partial(n_magnetic_rhs, field), nmagnetic_initial(ic), cfg)
-        assert max_deviation(crv, sampled, components="full") < 1e-9
+        assert max_deviation(crv, sampled) < 1e-9
+        assert _derivative_deviation(crv, sampled) < 1e-9
 
     def test_step_halving_reduces_error_sixteenfold(self):
         field = KillingField(1, 0, 0)
@@ -521,65 +533,39 @@ class TestIntegrate:
 
 
 class TestMaxDeviation:
-    def _exact_samples(self, crv, grid, dim):
-        states = []
-        for s in grid:
-            row = [crv.y.eval(s, 0), crv.z.eval(s, 0), crv.y.eval(s, 1), crv.z.eval(s, 1)]
-            if dim == 6:
-                row += [crv.y.eval(s, 2), crv.z.eval(s, 2)]
-            states.append(row)
+    def _exact_samples(self, crv, grid):
+        states = [[crv.y.eval(s, 0), crv.z.eval(s, 0), crv.y.eval(s, 1), crv.z.eval(s, 1)]
+                  for s in grid]
         return SampledCurve(grid=np.asarray(grid), states=np.asarray(states))
 
     def test_identity_is_zero(self):
         crv = solve_magnetic(KillingField(1, 0.3, -0.2), MagneticIC(1, 2, 3, 4))
         grid = np.linspace(0, 5, 64)
-        sampled = self._exact_samples(crv, grid, dim=4)
+        sampled = self._exact_samples(crv, grid)
         assert max_deviation(crv, sampled) == 0.0
-        assert max_deviation(crv, sampled, components="full") == 0.0
 
-    def test_full_state_sees_derivative_mismatch(self):
+    def test_derivative_mismatch_is_ignored(self):
         crv = solve_magnetic(KillingField(0, 0, 0), MagneticIC(0, 1, 0, 0))
         grid = np.linspace(0, 1, 11)
-        sampled = self._exact_samples(crv, grid, dim=4)
-        states = sampled.states.copy()
-        states[:, 2] += 1e-3  # perturb y' only
-        perturbed = SampledCurve(grid=sampled.grid, states=states)
-        assert max_deviation(crv, perturbed) == 0.0
-        assert max_deviation(crv, perturbed, components="full") == pytest.approx(1e-3)
-
-    def test_rejects_unknown_components(self):
-        crv = solve_magnetic(KillingField(0, 1, 1), MagneticIC(0, 0, 0, 0))
-        grid = np.linspace(0, 1, 3)
-        sampled = self._exact_samples(crv, grid, dim=4)
-        with pytest.raises(ValueError):
-            max_deviation(crv, sampled, components="velocity")
+        sampled = self._exact_samples(crv, grid)
+        sampled.states[:, 2] += 1e-3  # perturb y' only
+        assert max_deviation(crv, sampled) == 0.0
+        sampled.states[:, 0] += 1e-3  # and y
+        assert max_deviation(crv, sampled) == pytest.approx(1e-3)
 
     def test_nan_gives_nan(self):
         # Python's max(0.0, 1e-3, nan) is 1e-3
         crv = solve_magnetic(KillingField(1, 0.3, -0.2), MagneticIC(1, 2, 3, 4))
-        sampled = self._exact_samples(crv, np.linspace(0, 5, 64), dim=4)
+        sampled = self._exact_samples(crv, np.linspace(0, 5, 64))
         sampled.states[-1, 2:] = math.nan  # velocities only
         assert max_deviation(crv, sampled) == 0.0
-        assert math.isnan(max_deviation(crv, sampled, components="full"))
         sampled.states[-1] = math.nan
         assert math.isnan(max_deviation(crv, sampled))
 
-    def test_rejects_bad_dimension(self):
-        crv = solve_magnetic(KillingField(0, 1, 1), MagneticIC(0, 0, 0, 0))
-        grid = np.linspace(0, 1, 3)
-        sampled = SampledCurve(grid=grid, states=np.zeros((3, 5)))
-        with pytest.raises(ValueError):
-            max_deviation(crv, sampled)
 
-
-def _unchunked_deviation(closed, sampled, components):
+def _unchunked_deviation(closed, sampled):
     """max_deviation's formula over the whole grid at once."""
-    orders = (0,) if components == "position" else range(sampled.dim // 2)
-    return float(np.max([
-        np.abs(sampled.states[:, 2 * order:2 * order + 2]
-               - closed.eval(sampled.grid, order)[:, 1:]).max()
-        for order in orders
-    ]))
+    return float(np.abs(sampled.states[:, :2] - closed.eval(sampled.grid)[:, 1:]).max())
 
 
 class TestMaxDeviationChunks:
@@ -590,28 +576,30 @@ class TestMaxDeviationChunks:
         6: solve_n_magnetic(KillingField(-2, 0.4, 1), NMagneticIC(0.5, -1, 0.8, 2, 0.3, -0.6)),
     }
 
-    def _noisy_samples(self, dim, rows, seed):
-        # the exact states off by up to 1e-9, on a window of either sign
+    def _noisy_samples(self, dim, rows, seed, state="full"):
+        # the exact states off by up to 1e-9, on a window of either sign: the
+        # full dim-column RK4 state, or its "position" columns (y, z) alone
         grid = np.linspace(-1.5, 4.0, rows)
-        exact = [self.CURVES[dim].eval(grid, order)[:, 1:] for order in range(dim // 2)]
+        orders = range(dim // 2) if state == "full" else (0,)
+        exact = [self.CURVES[dim].eval(grid, order)[:, 1:] for order in orders]
         noise = np.random.default_rng(seed).uniform(-1e-9, 1e-9, (rows, dim))
-        return SampledCurve(grid=grid, states=np.hstack(exact) + noise)
+        return SampledCurve(grid=grid, states=np.hstack(exact) + noise[:, :2 * len(orders)])
 
     @pytest.mark.parametrize("rows", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
     @pytest.mark.parametrize("dim", [4, 6])
-    @pytest.mark.parametrize("components", ["position", "full"])
-    def test_bit_equal_to_unchunked(self, rows, dim, components):
+    @pytest.mark.parametrize("state", ["position", "full"])
+    def test_bit_equal_to_unchunked(self, rows, dim, state):
         crv = self.CURVES[dim]
-        sampled = self._noisy_samples(dim, rows, seed=rows + dim)
-        want = _unchunked_deviation(crv, sampled, components)
-        assert max_deviation(crv, sampled, components) == want
+        sampled = self._noisy_samples(dim, rows, seed=rows + dim, state=state)
+        want = _unchunked_deviation(crv, sampled)
+        assert max_deviation(crv, sampled) == want
         # the worst row on either side of each chunk boundary, and at both ends
         for row in sorted({0, _CHUNK - 1, _CHUNK, 2 * _CHUNK, rows - 1} & set(range(rows))):
             spiked = SampledCurve(sampled.grid, sampled.states.copy())
             spiked.states[row, row % 2] += 1e-6
-            want = _unchunked_deviation(crv, spiked, components)
+            want = _unchunked_deviation(crv, spiked)
             assert want > 1e-7
-            assert max_deviation(crv, spiked, components) == want
+            assert max_deviation(crv, spiked) == want
 
     @pytest.mark.parametrize("dim", [4, 6])
     def test_nan_in_a_middle_chunk_gives_nan(self, dim):
@@ -619,7 +607,6 @@ class TestMaxDeviationChunks:
         sampled = self._noisy_samples(dim, 2 * _CHUNK + 1, seed=dim)
         sampled.states[_CHUNK + 7, 2:] = math.nan  # derivatives only
         assert not math.isnan(max_deviation(crv, sampled))
-        assert math.isnan(max_deviation(crv, sampled, components="full"))
         sampled.states[_CHUNK + 7, 1] = math.nan
         assert math.isnan(max_deviation(crv, sampled))
 
@@ -681,9 +668,9 @@ class TestVerify:
         want = _whole_window_samples(rhs, initial, s_start, s_end, H)
         seen = []
 
-        def recording(closed, sampled, components="position"):
+        def recording(closed, sampled):
             seen.append(SampledCurve(sampled.grid.copy(), sampled.states.copy()))
-            return max_deviation(closed, sampled, components)
+            return max_deviation(closed, sampled)
 
         monkeypatch.setattr(oracle, "max_deviation", recording)
         deviation = verify(curve, s_start, s_end, H)["deviation"]
