@@ -285,6 +285,8 @@ def _parse_range(args) -> tuple[float, float, float | None]:
     step = numbers[2] if len(parts) == 3 else None
     if not s_end > s_start:
         raise _CliError("invalid-range", "end must exceed start")
+    if s_end - s_start == math.inf:  # else np.linspace yields a nan and the step guard an inf
+        raise _CliError("invalid-range", f"end - start overflows in {args.srange!r}")
     if step is not None and not step > 0.0:
         raise _CliError("invalid-range", "step must be positive")
     return s_start, s_end, step
@@ -298,7 +300,8 @@ def _sample_grid(args) -> np.ndarray:
     if samples is None:
         samples = DEFAULT_SAMPLES if step is None else (s_end - s_start) / step
     if samples > MAX_SAMPLES:
-        raise _CliError("invalid-flags", f"{samples:.3g} samples exceed the {MAX_SAMPLES:.0e} limit")
+        count = samples if isinstance(samples, int) else f"{samples:.3g}"  # --samples is exact
+        raise _CliError("invalid-flags", f"{count} samples exceed the {MAX_SAMPLES:.0e} limit")
     if step is not None:
         return grid_points(IntegratorConfig(s_start, s_end, step))
     if samples < 2:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -91,10 +92,6 @@ class NMagneticIC:
     Z0: float
     U0: float
 
-    @property
-    def kappa0(self) -> float:
-        return math.hypot(self.T0, self.U0)
-
 
 class CurveCase(Enum):
     """Classification tag of a closed-form solution."""
@@ -150,18 +147,6 @@ def _basis(omega: float, s: np.ndarray, order: int):
     return sigma, ch, sh, t, s * _x_minus_sin_over_x2(x)
 
 
-def _add_product(x: float, w: float, y: float) -> float:
-    """x + w*y, formed at half scale where w*y alone overflows but the sum may not.
-
-    Halving and doubling are exact away from underflow, and the half-scale
-    form runs only where the direct sum is not finite.
-    """
-    total = x + w * y
-    if math.isfinite(total):
-        return total
-    return 2.0 * (0.5 * x + (0.5 * w) * y)
-
-
 @dataclass(frozen=True)
 class QuadSinusoid:
     """Scalar function c0 + c1*s + p*C1 + q*S1 + u*C2 + v*S2 of frequency omega.
@@ -188,6 +173,17 @@ class QuadSinusoid:
         """
         return self._combine(_basis(self.omega, s, order), s, order)
 
+    @cached_property
+    def _acceleration(self) -> tuple[float, float]:
+        """u + omega*q and v - omega*p, each to half an ulp, also where the two terms cancel."""
+        try:  # each sum is exact in integers, and int / int rounds once
+            (nu, du), (nv, dv), (np_, dp), (nq, dq), (nw, dw) = (
+                float(t).as_integer_ratio() for t in (self.u, self.v, self.p, self.q, self.omega))
+            return ((nu * dw * dq + nw * nq * du) / (du * dw * dq),
+                    (nv * dw * dp - nw * np_ * dv) / (dv * dw * dp))
+        except (OverflowError, ValueError):  # past the largest double, or inf or nan
+            return self.u + self.omega * self.q, self.v - self.omega * self.p
+
     def _combine(self, basis, s, order: int):
         if order == 0:
             sigma, ch, sh, t, sg = basis
@@ -198,8 +194,7 @@ class QuadSinusoid:
             c, sn, t, ch, sh = basis
             return self.c1 + self.p * c + self.q * sn + t * (self.u * ch + self.v * sh)
         c, sn = basis
-        a = _add_product(self.u, self.omega, self.q)
-        b = _add_product(self.v, -self.omega, self.p)
+        a, b = self._acceleration
         if order == 2:
             return a * c + b * sn
         return self.omega * (b * c - a * sn)

@@ -247,6 +247,7 @@ class TestSolveErrors:
         (["--v", "nan,0,0"], "invalid-field"),
         (["--ic", "Z0=inf"], "invalid-ic"),
         (["--range", "0:inf", "--samples", "3"], "invalid-range"),
+        (["--range", "-1.7e308:1.7e308", "--samples", "2"], "invalid-range"),  # end - start = inf
     ])
     def test_non_finite_input_rejected(self, capsys, flags, reason):
         argv = ["solve", "--mode", "magnetic", *flags]
@@ -269,7 +270,9 @@ class TestSolveErrors:
         monkeypatch.setattr(np, "arange", refuse)
         code, _, err = run(capsys, [command, *GREEN_ARGS, "--range", *grid])
         assert code == 2
-        assert err.startswith("error: invalid-flags")
+        # an exact --samples count; a count from a range step in 3 digits
+        count = grid[-1] if "--samples" in grid else "1e+08"
+        assert err == f"error: invalid-flags ({count} samples exceed the 1e+06 limit)\n"
 
     def test_grid_at_the_limit_is_accepted(self):
         args = argparse.Namespace(srange="0:1", samples=MAX_SAMPLES)

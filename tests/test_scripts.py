@@ -41,3 +41,30 @@ def test_export_demo_trajectories(tmp_path):
     grid = np.arange(0.0, math.pi + 0.005, 0.01).tolist()
     rows = ["%.17g,%.17g,%.17g,%.17g" % (s, s, curve.y.eval(s), curve.z.eval(s)) for s in grid]
     assert (tmp_path / "out" / "magnetic_v011.csv").read_text() == "\n".join(["s,x,y,z", *rows, ""])
+
+
+def test_sameout_corpus_is_pinned_data():
+    # sameout.py reads its argvs from a checked-in file: with hypothesis
+    # unimportable and nothing from bench/ or tests/ on the path, the first
+    # 1,366 are still the argvs its generator used to build
+    code = """
+import hashlib, json, sys
+sys.modules["hypothesis"] = None  # an import of it raises ImportError
+sys.path.insert(0, sys.argv[1])
+import sameout
+argvs = sameout.corpus()
+assert all(isinstance(argv, list) and all(isinstance(a, str) for a in argv) for argv in argvs)
+local = [m.__file__ for m in list(sys.modules.values()) if getattr(m, "__file__", None)
+         and any(part in m.__file__ for part in sys.argv[2:])]
+print(len(argvs), hashlib.sha256(json.dumps(argvs[:1366]).encode()).hexdigest()[:16], local)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(ROOT / "scripts"), str(ROOT / "bench"),
+         str(ROOT / "tests"), str(SRC)],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, digest, local = proc.stdout.split(maxsplit=2)
+    assert int(count) >= 1366
+    assert digest == "35d370b000e5a8ee"
+    assert local.strip() == "[]"
