@@ -44,8 +44,8 @@ __all__ = [
     "ClosedFormCurve",
     "HelixData",
     "lorentz_force",
-    "magnetic_rhs",
-    "n_magnetic_rhs",
+    "magnetic_system",
+    "n_magnetic_system",
     "solve_magnetic",
     "solve_n_magnetic",
     "helix_decomposition",
@@ -251,32 +251,33 @@ def lorentz_force(field: KillingField, x: GVector3) -> GVector3:
     return cross(field.as_vector(), x)
 
 
-def magnetic_rhs(field: KillingField, state) -> tuple[float, float, float, float]:
-    """State derivative of the magnetic system for state (y, z, y', z').
+# the row of state component k itself: 1.0*x[k] + (-0.0) is x[k], signed zeros included
+_READ = tuple((1.0, k, -0.0) for k in range(6))
 
-    Expanding gamma'' = V x gamma' with gamma' = (1, y', z') gives
-    y'' = v3 - v1*z' and z'' = v1*y' - v2; with v1 = 0 the accelerations
-    are the constants (v3, -v2).
+
+def magnetic_system(field: KillingField) -> tuple[tuple, ...]:
+    """Rows of the magnetic system for (y, z, y', z'): (a, k, c) is a*x[k] + c, (c,) is c.
+
+    gamma'' = V x gamma' with gamma' = (1, y', z') gives y'' = v3 - v1*z' and
+    z'' = v1*y' - v2, the rows (-v1)*z' + v3 and v1*y' + (-v2), which round
+    alike; with v1 = 0 the accelerations are the constants (v3, -v2).
     """
-    _y, _z, yd, zd = state
     if field.v1 == 0.0:
-        return (yd, zd, field.v3, -field.v2)
-    return (yd, zd, field.v3 - field.v1 * zd, field.v1 * yd - field.v2)
+        return (*_READ[2:4], (field.v3,), (-field.v2,))
+    return (*_READ[2:4], (-field.v1, 3, field.v3), (field.v1, 2, -field.v2))
 
 
-def n_magnetic_rhs(field: KillingField, state) -> tuple[float, float, float, float, float, float]:
-    """State derivative of the N-magnetic system for (y, z, y', z', y'', z'').
+def n_magnetic_system(field: KillingField) -> tuple[tuple, ...]:
+    """Rows of the N-magnetic system for (y, z, y', z', y'', z''), as in `magnetic_system`.
 
-    N' = V x N with N = (0, y'', z'')/kappa0 gives y''' = -v1*z'' and
-    z''' = v1*y'' when v1 != 0, and y''' = z''' = 0 when v1 = 0 (the
-    normalization by kappa0 cancels, so kappa0 is no argument).  In the
-    v1 = 0 case the force equation additionally requires v2*z'' - v3*y'' = 0,
-    a pure initial-condition constraint that `solve_n_magnetic` enforces.
+    N' = V x N with N = (0, y'', z'')/kappa0, where kappa0 cancels, gives the
+    rows y''' = (-v1)*z'' and z''' = v1*y'' when v1 != 0, and y''' = z''' = 0
+    when v1 = 0.  There the force equation also requires v2*z'' - v3*y'' = 0,
+    an initial-condition constraint that `solve_n_magnetic` enforces.
     """
-    _y, _z, yd, zd, ydd, zdd = state
     if field.v1 != 0.0:
-        return (yd, zd, ydd, zdd, -field.v1 * zdd, field.v1 * ydd)
-    return (yd, zd, ydd, zdd, 0.0, 0.0)
+        return (*_READ[2:6], (-field.v1, 5, -0.0), (field.v1, 4, -0.0))
+    return (*_READ[2:6], (0.0,), (0.0,))
 
 
 def _solution(case, field, ic, y: QuadSinusoid, z: QuadSinusoid) -> ClosedFormCurve:
@@ -321,7 +322,7 @@ def solve_n_magnetic(field: KillingField, ic: NMagneticIC) -> ClosedFormCurve:
         the quadratic curve y = (T0/2) s**2 + Y0 s + y0, z = (U0/2) s**2 + Z0 s + z0,
         accepted only if the compatibility constraint holds (it forces T0 = 0
         when only v3 acts, U0 = 0 when only v2 acts, and v2*U0 = v3*T0 when
-        both act; |v2*U0 - v3*T0| <= 1e-12*(1 + |v2*U0| + |v3*T0|) passes),
+        both act; |v2*U0 - v3*T0| <= 1e-12*(|v2*U0| + |v3*T0|) passes),
         otherwise the cylindrical helix of radius kappa0/v1**2
         and drift slopes (Y0 - U0/v1, Z0 + T0/v1).
 
@@ -341,8 +342,7 @@ def solve_n_magnetic(field: KillingField, ic: NMagneticIC) -> ClosedFormCurve:
         case = CurveCase.NMAGNETIC_HELIX
     else:
         constraint = v2 * ic.U0 - v3 * ic.T0
-        scale = 1.0 + abs(v2 * ic.U0) + abs(v3 * ic.T0)
-        if abs(constraint) > _CONSTRAINT_RTOL * scale:
+        if abs(constraint) > _CONSTRAINT_RTOL * (abs(v2 * ic.U0) + abs(v3 * ic.T0)):
             raise IncompatibleIC(
                 f"v2*U0 - v3*T0 = {constraint:g} != 0: the initial accelerations "
                 "are incompatible with the force equation for this field"

@@ -13,33 +13,33 @@ linear with constant coefficients, so adaptive stepping would add code
 without value, and a fixed step makes the O(step**4) convergence check
 meaningful.
 
-The right-hand side is traced once, on symbolic state values, so it may
-only do arithmetic (+ - *, unary -) on the state and int or float
-constants; none of these raises or turns complex once a state overflows.
-The step runs as one loop generated per traced right-hand side, with its
-operations written inline and unrolled over the components.  It performs
-the textbook loop's floating-point operations in the textbook order, so its
-states equal that loop's bit for bit.  The loop runs in chunks of _RK4_CHUNK
-grid rows, each resumed from the state and compensations the last one
-handed back and written into one reused buffer.  `verify` folds each chunk
-into the deviation as it comes, so its memory is constant however long the
-window; `integrate` copies the chunks into the whole window's states.
+Each system is data, one row per state component, as `magnetic_system`
+and `n_magnetic_system` state it: (a, k, c) is a*x[k] + c and (c,) the
+constant c.  The step runs as one loop generated per shape of the rows,
+with their operations written inline and unrolled over the components.  It
+performs the textbook loop's floating-point operations in the textbook
+order, so its states equal that loop's bit for bit.  The loop runs in
+chunks of _RK4_CHUNK grid rows, each resumed from the state and
+compensations the last one handed back and written into one reused buffer.
+`verify` folds each chunk into the deviation as it comes, so its memory is
+constant however long the window; `integrate` copies the chunks into the
+whole window's states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from galmag.errors import NonFiniteState
 from galmag.frenet import curvature
 from galmag.galilean import norm
-from galmag.magnetic import ClosedFormCurve, MagneticIC, helix_decomposition, magnetic_rhs
-from galmag.magnetic import lorentz_residual, n_magnetic_residual, n_magnetic_rhs
+from galmag.magnetic import ClosedFormCurve, MagneticIC, helix_decomposition, lorentz_residual
+from galmag.magnetic import magnetic_system, n_magnetic_residual, n_magnetic_system
 
 __all__ = ["IntegratorConfig", "SampledCurve", "grid_points", "integrate", "max_deviation",
            "verify"]
@@ -100,10 +100,6 @@ def grid_points(cfg: IntegratorConfig) -> np.ndarray:
     return _grid_rows(cfg, n, 0, rows)
 
 
-_CONTRACT = ("rhs must be arithmetic (+ - *, unary -) on the state values and int or "
-             "float constants only")
-# bounds each expression's nesting below the parser's limit (200) and its length
-_MAX_OPS = 150
 # steps the kernel collects in a list before it writes them into its buffer
 _BLOCK = 1024
 # grid rows max_deviation compares at once: bounds its temporaries
@@ -114,54 +110,32 @@ _CHUNK = 4096
 _RK4_CHUNK = 16384
 
 
-def _const(consts: list, value) -> str:
-    if not isinstance(value, (int, float)):
-        raise TypeError(f"a {type(value).__name__} is not an int or float constant")
-    consts.append(float(value))
-    return f"q{len(consts) - 1}"
+def _row_sources(system: Sequence[tuple], m: int) -> tuple[tuple[str, ...], list]:
+    """Each row's expression for `_rk4_kernel`, in its cheapest exact form, and the constants.
 
-
-def _operator(template: str):
-    def op(self, other):
-        if isinstance(other, _Sym):
-            return self._node(template.format(a=self.src, b=other.src), self.ops + other.ops)
-        return self._node(template.format(a=self.src, b=_const(self.consts, other)), self.ops)
-    return op
-
-
-class _Sym:
-    """A state value under tracing: the source of the arithmetic done on it.
-
-    State component j reads ``{x[j]}`` (named per RK4 stage) and the i-th
-    constant met reads ``qi``.  Each operation is parenthesised, so the
-    source repeats the RHS's own operations in the RHS's own order.
+    (c,) reads c alone, and (a, k, c) the bare x[k] for a = 1.0 and c = -0.0,
+    (a * x[k]) for c = -0.0 and (a * x[k] + c) otherwise: x + (-0.0) is x.
     """
+    if len(system) != m or any(row[1] not in range(m) for row in system if len(row) == 3):
+        raise ValueError(f"a {m}-dim state needs {m} rows, each reading x[0] to x[{m - 1}]")
+    consts: list = []
 
-    __slots__ = ("src", "ops", "consts")
+    def name(value) -> str:
+        consts.append(float(value))
+        return f"q{len(consts) - 1}"
 
-    def __init__(self, src: str, ops: int, consts: list):
-        self.src, self.ops, self.consts = src, ops, consts
+    def source(a, k, c) -> str:
+        x = f"{{x[{k}]}}"
+        if c == 0.0 and math.copysign(1.0, c) < 0.0:
+            return x if a == 1.0 else f"({name(a)} * {x})"
+        return f"({name(a)} * {x} + {name(c)})"
 
-    def _node(self, src: str, ops: int) -> _Sym:
-        if ops >= _MAX_OPS:
-            raise TypeError(f"an expression of over {_MAX_OPS} operations")
-        return _Sym(src, ops + 1, self.consts)
-
-    def _untraceable(self, *args):
-        raise TypeError("a state value was compared or tested for truth")
-
-    __add__, __radd__ = _operator("({a} + {b})"), _operator("({b} + {a})")
-    __sub__, __rsub__ = _operator("({a} - {b})"), _operator("({b} - {a})")
-    __mul__, __rmul__ = _operator("({a} * {b})"), _operator("({b} * {a})")
-    __bool__ = __eq__ = _untraceable
-
-    def __neg__(self) -> _Sym:
-        return self._node(f"(-{self.src})", self.ops)
+    return tuple(name(*row) if len(row) == 1 else source(*row) for row in system), consts
 
 
 @lru_cache(maxsize=256)
 def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
-    """RK4 loop over a grid with the traced RHS expressions written inline.
+    """RK4 loop over a grid with the rows' expressions written inline.
 
     Each component takes the textbook loop's operations in their order
 
@@ -240,21 +214,16 @@ def _rk4_kernel(exprs: tuple[str, ...], n_consts: int):
     return namespace["run"]
 
 
-def integrate(
-    rhs: Callable[[tuple], tuple],
-    initial: Sequence[float],
-    cfg: IntegratorConfig,
-) -> SampledCurve:
+def integrate(system: Sequence[tuple], initial: Sequence[float],
+              cfg: IntegratorConfig) -> SampledCurve:
     """Classic 4th-order Runge-Kutta with fixed step.
 
     Parameters
     ----------
-    rhs : callable
-        Derivative of an autonomous system: rhs(state) takes a tuple and
-        returns a sequence of the same length.  It is called once, on
-        symbolic state values, and its operations then run inline; so it
-        may only do arithmetic (+ - *, unary -) on the state and int or
-        float constants, and branch on anything but the state.
+    system : sequence of rows
+        Derivative of an autonomous system, one row per state component:
+        (a, k, c) is a*x[k] + c and (c,) the constant c, as
+        `magnetic_system` and `n_magnetic_system` state them.
     initial : sequence of float
         State at cfg.s_start.
     cfg : IntegratorConfig
@@ -268,25 +237,23 @@ def integrate(
 
     Raises
     ------
-    TypeError
-        If rhs does anything else with a state value (compares it, calls
-        math.sin on it, ...).
+    ValueError
+        If the system has not one row per state component, or a row reads
+        outside the state.
     NonFiniteState
         If the state leaves the finite range during integration.
     """
     grid = grid_points(cfg)
     states = np.empty((len(grid), len(initial)))
     row = 0
-    for chunk in _rk4_chunks(rhs, initial, cfg):
+    for chunk in _rk4_chunks(system, initial, cfg):
         states[row:row + len(chunk.grid)] = chunk.states
         row += len(chunk.grid)
     return SampledCurve(grid=grid, states=states)
 
 
-def _rk4_chunks(
-    rhs: Callable[[tuple], tuple], initial: Sequence[float], cfg: IntegratorConfig,
-    sign: float = 1.0,
-) -> Iterator[SampledCurve]:
+def _rk4_chunks(system: Sequence[tuple], initial: Sequence[float], cfg: IntegratorConfig,
+                sign: float = 1.0) -> Iterator[SampledCurve]:
     """`integrate`'s RK4, yielded in order as chunks of at most _RK4_CHUNK rows.
 
     With sign -1.0 it steps on the negated grid s = -u of cfg's grid of u,
@@ -298,14 +265,7 @@ def _rk4_chunks(
     """
     state = tuple([float(w) for w in initial])
     m = len(state)
-    consts: list = []
-    try:
-        deriv = rhs(tuple(_Sym(f"{{x[{j}]}}", 0, consts) for j in range(m)))
-        if len(deriv) != m:
-            raise ValueError(f"rhs returns {len(deriv)} components for a {m}-dim state")
-        exprs = tuple(k.src if isinstance(k, _Sym) else _const(consts, k) for k in deriv)
-    except TypeError as exc:
-        raise TypeError(f"{_CONTRACT} ({exc})") from None
+    exprs, consts = _row_sources(system, m)
     run = _rk4_kernel(exprs, len(consts))
     n, rows = _grid_size(cfg)
     # Kahan-compensated state updates: over ~1e5 steps the plain additions
@@ -377,11 +337,11 @@ def verify(
         raise ValueError(f"s_end must exceed s_start, got [{s_start}, {s_end}]")
     field, ic = curve.field, curve.ic
     if isinstance(ic, MagneticIC):
-        rhs = partial(magnetic_rhs, field)
+        system = magnetic_system(field)
         initial = (ic.y0, ic.z0, ic.Y0, ic.Z0)
         residual = lorentz_residual
     else:
-        rhs = partial(n_magnetic_rhs, field)
+        system = n_magnetic_system(field)
         initial = (ic.y0, ic.z0, ic.Y0, ic.Z0, ic.T0, ic.U0)
         residual = n_magnetic_residual
 
@@ -390,7 +350,7 @@ def verify(
     # the rows with u >= u_first lie in the window
     for sign, u_end, u_first in ((1.0, s_end, s_start), (-1.0, -s_start, -s_end)):
         if u_end > 0.0:
-            for chunk in _rk4_chunks(rhs, initial, IntegratorConfig(0.0, u_end, step), sign):
+            for chunk in _rk4_chunks(system, initial, IntegratorConfig(0.0, u_end, step), sign):
                 # u ascends, so the rows before the window lead each chunk
                 first = int(np.searchsorted(sign * chunk.grid, u_first))
                 if first < len(chunk.grid):

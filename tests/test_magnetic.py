@@ -20,9 +20,9 @@ from galmag.magnetic import (
     helix_decomposition,
     lorentz_force,
     lorentz_residual,
-    magnetic_rhs,
+    magnetic_system,
     n_magnetic_residual,
-    n_magnetic_rhs,
+    n_magnetic_system,
     solve_magnetic,
     solve_n_magnetic,
 )
@@ -37,6 +37,15 @@ def signed(exponents):
 
 # 0 or a magnitude log-uniform in [1e-100, 1e100]: no product of two overflows or underflows
 wide = st.one_of(st.just(0.0), signed(st.floats(-100, 100)))
+
+
+def at(system, state):
+    """The system's rows evaluated in full at the state: a*x[k] + c, or the constant c."""
+    return tuple(row[0] if len(row) == 1 else row[0] * state[row[1]] + row[2] for row in system)
+
+
+# v1 = 0 of either sign, a small v1 and any other
+rhs_v1 = st.one_of(st.sampled_from([0.0, -0.0, 1e-7]), st.floats(-5, 5))
 
 
 def fields(nonzero_v1=False, components=finite):
@@ -65,24 +74,24 @@ class TestLorentzForce:
 
 class TestMagneticRhs:
     def test_isotropic_field_constant_acceleration(self):
-        deriv = magnetic_rhs(KillingField(0, 1, 1), (9.0, -4.0, 0.3, 0.8))
+        deriv = at(magnetic_system(KillingField(0, 1, 1)), (9.0, -4.0, 0.3, 0.8))
         assert deriv == (0.3, 0.8, 1.0, -1.0)
 
     def test_nonisotropic_field(self):
-        deriv = magnetic_rhs(KillingField(1, 0, 0), (0.0, 0.0, 0.0, 1.0))
+        deriv = at(magnetic_system(KillingField(1, 0, 0)), (0.0, 0.0, 0.0, 1.0))
         assert deriv[2:] == (-1.0, 0.0)
 
     def test_zero_field_is_geodesic(self):
-        deriv = magnetic_rhs(KillingField(0, 0, 0), (1.0, 2.0, 3.0, 4.0))
+        deriv = at(magnetic_system(KillingField(0, 0, 0)), (1.0, 2.0, 3.0, 4.0))
         assert deriv == (3.0, 4.0, 0.0, 0.0)
 
-    def test_matches_force_on_tangent(self):
-        field = KillingField(1.5, -0.3, 0.8)
-        state = (0.7, -0.2, 1.1, -2.4)
-        deriv = magnetic_rhs(field, state)
+    @given(rhs_v1, finite, finite, st.tuples(finite, finite, finite, finite))
+    def test_matches_force_on_tangent(self, v1, v2, v3, state):
+        # == is bit for bit but for the sign of a zero: the cross product's
+        # -(v1*z' - v3) is -0.0 where the row's (-v1)*z' + v3 is 0.0
+        field = KillingField(v1, v2, v3)
         force = lorentz_force(field, GVector3(1.0, state[2], state[3]))
-        assert deriv[2] == force.x2
-        assert deriv[3] == force.x3
+        assert at(magnetic_system(field), state) == (state[2], state[3], force.x2, force.x3)
 
 
 class TestSolveMagnetic:
@@ -245,12 +254,19 @@ class TestHelixDecomposition:
 
 class TestNMagneticRhs:
     def test_rotation_of_acceleration(self):
-        deriv = n_magnetic_rhs(KillingField(1, 0, 0), (0, 0, 0, 0, 1.0, 0.0))
+        deriv = at(n_magnetic_system(KillingField(1, 0, 0)), (0, 0, 0, 0, 1.0, 0.0))
         assert deriv[4:] == (0.0, 1.0)
 
     def test_zero_field(self):
-        deriv = n_magnetic_rhs(KillingField(0, 0, 0), (1, 2, 3, 4, 5, 6))
+        deriv = at(n_magnetic_system(KillingField(0, 0, 0)), (1, 2, 3, 4, 5, 6))
         assert deriv == (3.0, 4.0, 5.0, 6.0, 0.0, 0.0)
+
+    @given(rhs_v1, finite, finite, st.tuples(*[finite] * 6))
+    def test_matches_force_on_normal(self, v1, v2, v3, state):
+        # N = (0, y'', z'')/kappa0, and V x N is linear in N; == as in the magnetic test
+        field = KillingField(v1, v2, v3)
+        force = lorentz_force(field, GVector3(0.0, state[4], state[5]))
+        assert at(n_magnetic_system(field), state) == (*state[2:], force.x2, force.x3)
 
 
 class TestSolveNMagnetic:
@@ -289,6 +305,9 @@ class TestSolveNMagnetic:
         field = KillingField(0, 3, 0)
         with pytest.raises(IncompatibleIC):
             solve_n_magnetic(field, NMagneticIC(0, 0, 1.0, 0, 0, 0.5))
+        for k in (0, 20, 40, 300):  # the check scales with the data
+            with pytest.raises(IncompatibleIC):
+                solve_n_magnetic(field, NMagneticIC(0, 0, 2.0**-k, 0, 0, 2.0**-k))
         crv = solve_n_magnetic(field, NMagneticIC(0, 1, -2.0, 0, 0, 0.0))
         assert crv.case is CurveCase.NMAGNETIC_Y_FIELD
         assert (crv.z.u, crv.z.eval(1.5, 2)) == (0.0, 0.0)
@@ -309,14 +328,22 @@ class TestSolveNMagnetic:
         assert crv.case is CurveCase.NMAGNETIC_YZ_FIELD
 
     def test_constraint_tolerance_is_relative_1e_12(self):
-        # |v2*U0 - v3*T0| relative to 1 + |v2*U0| + |v3*T0| is about 1e-13
-        # (accepted) or 1e-9 (refused) here, for any field strength from 1 up
-        for scale in (1.0, 1e8, 1e100):
+        # |v2*U0 - v3*T0| relative to |v2*U0| + |v3*T0| is about 1e-13
+        # (accepted) or 1e-9 (refused) here, for any field strength
+        for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
             field = KillingField(0, scale, scale)
             crv = solve_n_magnetic(field, NMagneticIC(0, 0, 1.0, 0, 0, 1.0 + 3e-13))
             assert crv.case is CurveCase.NMAGNETIC_YZ_FIELD
             with pytest.raises(IncompatibleIC):
                 solve_n_magnetic(field, NMagneticIC(0, 0, 1.0, 0, 0, 1.0 + 3e-9))
+
+    @given(st.one_of(st.just(0.0), signed(st.floats(-50, 50))), signed(st.floats(-50, 50)),
+           signed(st.floats(-50, 50)), finite, finite)
+    def test_accelerations_along_the_field_accepted(self, v2, v3, lam, y0, z0):
+        # T0 = lam*v2 and U0 = lam*v3, as the benchmark draws compatible data
+        crv = solve_n_magnetic(KillingField(0.0, v2, v3),
+                               NMagneticIC(y0, 0.0, lam * v2, z0, 0.0, lam * v3))
+        assert not crv.case.is_helix
 
     @given(
         fields(nonzero_v1=True),

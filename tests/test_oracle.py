@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +14,8 @@ from galmag.magnetic import (
     KillingField,
     MagneticIC,
     NMagneticIC,
-    magnetic_rhs,
-    n_magnetic_rhs,
+    magnetic_system,
+    n_magnetic_system,
     solve_magnetic,
     solve_n_magnetic,
 )
@@ -44,14 +43,16 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(oracle, "_RK4_CHUNK", SMALL)
 
 
-def _reference_integrate(rhs, initial, cfg, check=True):
+def _reference_integrate(rhs, initial, cfg, check=True, sign=1.0):
     """The textbook per-component RK4 loop that `integrate` unrolls.
 
-    With check=False it runs on past an overflow instead of raising.
+    With sign -1.0 it steps on the negated grid, as `_rk4_chunks` does for
+    verify's backward run.  With check=False it runs on past an overflow
+    instead of raising.
     """
     state = [float(w) for w in initial]
     m = len(state)
-    grid = grid_points(cfg).tolist()
+    grid = (sign * grid_points(cfg)).tolist()
     states = [tuple(state)]
     comp = [0.0] * m
     sixth = 1.0 / 6.0
@@ -79,25 +80,50 @@ def _reference_integrate(rhs, initial, cfg, check=True):
     return SampledCurve(grid=np.asarray(grid), states=np.asarray(states))
 
 
-def affine_rhs(matrix, offset):
-    # a zero coefficient drops its term, so an all-zero row reads no state
+def evaluate(system):
+    """The system's rows as a callable, each in full: a*x[k] + c, or the constant c."""
     def rhs(st):
-        return tuple(
-            sum([a * w for a, w in zip(row, st) if a != 0.0], c)
-            for row, c in zip(matrix, offset)
-        )
+        return tuple(row[0] if len(row) == 1 else row[0] * st[row[1]] + row[2] for row in system)
     return rhs
+
+
+def _stepped(system, initial, cfg, sign):
+    """`_rk4_chunks`'s whole run, on the grid it steps on, as one SampledCurve."""
+    chunks = [SampledCurve(c.grid, c.states.copy())
+              for c in _rk4_chunks(system, initial, cfg, sign)]
+    return SampledCurve(np.concatenate([c.grid for c in chunks]),
+                        np.concatenate([c.states for c in chunks]))
+
+
+def assert_equals_reference(system, initial, cfg):
+    """Forward and on the negated grid, the states equal the textbook loop's bit for bit."""
+    for sign in (1.0, -1.0):
+        got = (integrate(system, initial, cfg) if sign > 0.0
+               else _stepped(system, initial, cfg, sign))
+        want = _reference_integrate(evaluate(system), initial, cfg, sign=sign)
+        assert got.grid.tobytes() == want.grid.tobytes()
+        assert got.states.shape == want.states.shape
+        assert got.states.tobytes() == want.states.tobytes()
+
+
+# u' = u and w' = -w: u grows like e**s.  DECAY, its negation, grows alike on
+# the negated grid s = -t, as verify's backward run steps it
+GROWTH = ((1.0, 0, -0.0), (-1.0, 1, -0.0))
+DECAY = ((-1.0, 0, -0.0), (1.0, 1, -0.0))
 
 
 @st.composite
 def affine_systems(draw):
+    # a one-term row or a constant per component; a = 1.0 and signed zero
+    # constants make the kernel's bare reads and its (a * x) form
     m = draw(st.integers(0, 6))
     coeff = st.floats(-2.0, 2.0)
-    row = st.one_of(st.just([0.0] * m), st.lists(coeff, min_size=m, max_size=m))
-    matrix = [draw(row) for _ in range(m)]
-    offset = [draw(st.one_of(st.sampled_from([0.0, -0.0]), coeff)) for _ in range(m)]
+    constant = st.one_of(st.sampled_from([0.0, -0.0]), coeff)
+    row = st.one_of(st.tuples(constant), st.tuples(
+        st.one_of(st.just(1.0), coeff), st.integers(0, max(m - 1, 0)), constant))
+    system = tuple(draw(row) for _ in range(m))
     initial = [draw(st.floats(-10.0, 10.0)) for _ in range(m)]
-    return affine_rhs(matrix, offset), initial
+    return system, initial
 
 
 @st.composite
@@ -112,15 +138,15 @@ def short_last_step_windows(draw):
 
 @st.composite
 def raw_systems(draw):
-    # the package's own right-hand sides, over isotropic and helix fields
+    # the package's own systems, over isotropic and helix fields
     coeff = st.floats(-2.0, 2.0)
     v1 = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0), st.floats(-2.0, -0.1)))
     field = KillingField(v1, draw(coeff), draw(coeff))
     initial = [draw(coeff) for _ in range(4)]
     if draw(st.booleans()):
-        return partial(magnetic_rhs, field), initial
+        return magnetic_system(field), initial
     accel = [draw(st.floats(0.1, 2.0)), draw(coeff)]
-    return partial(n_magnetic_rhs, field), initial + accel
+    return n_magnetic_system(field), initial + accel
 
 
 def magnetic_initial(ic):
@@ -135,9 +161,9 @@ def _raw_system(dim):
     """A helix of either mode, with the raw system that verify integrates."""
     if dim == 4:
         field, ic = KillingField(1.5, -0.3, 0.8), MagneticIC(1, 2, -1, 0.5)
-        return solve_magnetic(field, ic), partial(magnetic_rhs, field), magnetic_initial(ic)
+        return solve_magnetic(field, ic), magnetic_system(field), magnetic_initial(ic)
     field, ic = KillingField(-2, 0.4, 1), NMagneticIC(0.5, -1, 0.8, 2, 0.3, -0.6)
-    return solve_n_magnetic(field, ic), partial(n_magnetic_rhs, field), nmagnetic_initial(ic)
+    return solve_n_magnetic(field, ic), n_magnetic_system(field), nmagnetic_initial(ic)
 
 
 class TestIntegratorConfig:
@@ -193,21 +219,21 @@ class TestGrid:
         cfg = IntegratorConfig(s_start, s_end, step)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_RK4_CHUNK", chunk)
-            grids = [c.grid for c in _rk4_chunks(lambda st: (0.0,), (0.0,), cfg)]
+            grids = [c.grid for c in _rk4_chunks(((0.0,),), (0.0,), cfg)]
         assert all(len(grid) == chunk for grid in grids[:-1])
         assert 0 < len(grids[-1]) <= chunk
         assert np.concatenate(grids).tobytes() == grid_points(cfg).tobytes()
 
     def test_uniform_with_exact_endpoint(self):
         cfg = IntegratorConfig(0.0, 1.0, step=0.25)
-        sampled = integrate(lambda st: (0.0,), (1.0,), cfg)
+        sampled = integrate(((0.0,),), (1.0,), cfg)
         assert sampled.grid[0] == 0.0
         assert sampled.grid[-1] == 1.0
         assert np.all(np.diff(sampled.grid) > 0)
 
     def test_short_final_step(self):
         cfg = IntegratorConfig(0.0, 1.0, step=0.3)
-        sampled = integrate(lambda st: (0.0,), (1.0,), cfg)
+        sampled = integrate(((0.0,),), (1.0,), cfg)
         assert sampled.grid[-1] == 1.0
         diffs = np.diff(sampled.grid)
         assert np.all(diffs[:-1] == pytest.approx(0.3, abs=1e-15))
@@ -216,7 +242,7 @@ class TestGrid:
 
     def test_states_aligned_with_grid(self):
         cfg = IntegratorConfig(0.0, 2.0, step=0.5)
-        sampled = integrate(lambda st: (1.0,), (0.0,), cfg)
+        sampled = integrate(((1.0,),), (0.0,), cfg)
         assert sampled.states.shape == (len(sampled.grid), 1)
         # u' = 1 integrates exactly: u(s) = s
         assert np.allclose(sampled.states[:, 0], sampled.grid, atol=1e-15)
@@ -238,7 +264,7 @@ class TestIntegrate:
         ic = MagneticIC(1.0, 2.0, 3.0, 4.0)
         crv = solve_magnetic(field, ic)
         cfg = IntegratorConfig(0.0, 1.0, step=1e-3)
-        sampled = integrate(partial(magnetic_rhs, field), magnetic_initial(ic), cfg)
+        sampled = integrate(magnetic_system(field), magnetic_initial(ic), cfg)
         assert max_deviation(crv, sampled) < 1e-12
 
     def test_quadratics_at_rounding_level(self):
@@ -246,7 +272,7 @@ class TestIntegrate:
         ic = MagneticIC(1, 5, 4, 3)
         crv = solve_magnetic(field, ic)
         cfg = IntegratorConfig(0.0, math.pi, step=1e-3)
-        sampled = integrate(partial(magnetic_rhs, field), magnetic_initial(ic), cfg)
+        sampled = integrate(magnetic_system(field), magnetic_initial(ic), cfg)
         assert max_deviation(crv, sampled) < 1e-10
 
     def test_helix_within_global_error_bound(self):
@@ -254,7 +280,7 @@ class TestIntegrate:
         ic = MagneticIC(0, 0, 0, 1)
         crv = solve_magnetic(field, ic)
         cfg = IntegratorConfig(0.0, 2 * math.pi, step=1e-3)
-        sampled = integrate(partial(magnetic_rhs, field), magnetic_initial(ic), cfg)
+        sampled = integrate(magnetic_system(field), magnetic_initial(ic), cfg)
         assert max_deviation(crv, sampled) < 1e-9
 
     def test_nmagnetic_quadratic_any_step(self):
@@ -263,7 +289,7 @@ class TestIntegrate:
         crv = solve_n_magnetic(field, ic)
         for step in (0.5, 1e-2, 1e-3):
             cfg = IntegratorConfig(0.0, 5.0, step=step)
-            sampled = integrate(partial(n_magnetic_rhs, field), nmagnetic_initial(ic), cfg)
+            sampled = integrate(n_magnetic_system(field), nmagnetic_initial(ic), cfg)
             assert max_deviation(crv, sampled) < 1e-11
             assert _derivative_deviation(crv, sampled) < 1e-11
 
@@ -272,7 +298,7 @@ class TestIntegrate:
         ic = NMagneticIC(0.2, -0.1, 1.0, 0.3, 0.5, 0.5)
         crv = solve_n_magnetic(field, ic)
         cfg = IntegratorConfig(0.0, 4 * math.pi, step=1e-3)
-        sampled = integrate(partial(n_magnetic_rhs, field), nmagnetic_initial(ic), cfg)
+        sampled = integrate(n_magnetic_system(field), nmagnetic_initial(ic), cfg)
         assert max_deviation(crv, sampled) < 1e-9
         assert _derivative_deviation(crv, sampled) < 1e-9
 
@@ -283,41 +309,38 @@ class TestIntegrate:
         devs = []
         for step in (1e-3, 5e-4):
             cfg = IntegratorConfig(0.0, 2 * math.pi, step=step)
-            sampled = integrate(partial(magnetic_rhs, field), magnetic_initial(ic), cfg)
+            sampled = integrate(magnetic_system(field), magnetic_initial(ic), cfg)
             devs.append(max_deviation(crv, sampled))
         ratio = devs[0] / devs[1]
         assert 12.0 <= ratio <= 20.0
 
     def test_nonfinite_state_detected(self):
-        # u' = u**2 from a huge start overflows within a few steps
+        # u' = 1000*u from a huge start overflows within a few steps
         cfg = IntegratorConfig(0.0, 1.0, step=0.1)
         with pytest.raises(NonFiniteState):
-            integrate(lambda st: (st[0] * st[0],), (1e200,), cfg)
+            integrate(((1e3, 0, -0.0),), (1e300,), cfg)
 
     @given(affine_systems(), short_last_step_windows())
+    # (-1.0)*0.0 + 0.0 is 0.0, so the state -0.0 turns 0.0 on the first step;
+    # without its + 0.0 the row would be -0.0 and the state stay -0.0
+    @example((((-1.0, 1, 0.0), (0.0,)), [-0.0, 0.0]), IntegratorConfig(0.0, 1.0, 0.25))
     def test_bit_identical_to_reference_loop(self, system, cfg):
-        rhs, initial = system
-        got = integrate(rhs, initial, cfg)
-        want = _reference_integrate(rhs, initial, cfg)
-        assert np.array_equal(got.grid, want.grid)
-        assert got.states.shape == want.states.shape
-        assert np.array_equal(got.states, want.states)
+        assert_equals_reference(*system, cfg)
 
     @given(st.integers(1, 6), st.data())
     def test_nonfinite_at_reference_s(self, m, data):
-        # one component grows like u' = u**2 from a huge start
+        # one component grows like u' = a*u from a huge start, by over 10**3.9
+        # a step, so it overflows within the window; the others decay
         big = data.draw(st.integers(0, m - 1))
         initial = [1.0] * m
         initial[big] = 10.0 ** data.draw(st.floats(5.0, 300.0))
-
-        def rhs(state):
-            return tuple(w * w if j == big else -w for j, w in enumerate(state))
-
+        system = [(-1.0, j, -0.0) for j in range(m)]
+        system[big] = (data.draw(st.floats(200.0, 1e4)), big, data.draw(st.floats(-2.0, 2.0)))
         cfg = IntegratorConfig(0.0, 10.0, step=0.1)
         with pytest.raises(NonFiniteState) as want:
-            _reference_integrate(rhs, initial, cfg)
+            _reference_integrate(evaluate(system), initial, cfg)
         with pytest.raises(NonFiniteState) as got:
-            integrate(rhs, initial, cfg)
+            integrate(system, initial, cfg)
         assert str(got.value) == str(want.value)
         assert str(got.value).endswith(f"s = {got.value.s}")
 
@@ -330,14 +353,10 @@ class TestIntegrate:
         # the weights 6*u overflow at step n, either side of the kernel's
         # 1024-step blocks; a non-finite initial value counts at the first step
         cfg = IntegratorConfig(0.0, 3.0, step=1e-3)
-
-        def rhs(state):
-            return (state[0], -state[1])
-
         with pytest.raises(NonFiniteState) as want:
-            _reference_integrate(rhs, initial, cfg)
+            _reference_integrate(evaluate(GROWTH), initial, cfg)
         with pytest.raises(NonFiniteState) as got:
-            integrate(rhs, initial, cfg)
+            integrate(GROWTH, initial, cfg)
         assert str(got.value) == str(want.value)
         assert got.value.s == grid_points(cfg)[n]
 
@@ -346,14 +365,10 @@ class TestIntegrate:
         # as above, at step n on either side of a chunk boundary
         initial = (sys.float_info.max / 6.0 * math.exp(-(n - 0.5) * 1e-3), 1.0)
         cfg = IntegratorConfig(0.0, 5.0, step=1e-3)
-
-        def rhs(state):
-            return (state[0], -state[1])
-
         with pytest.raises(NonFiniteState) as want:
-            _reference_integrate(rhs, initial, cfg)
+            _reference_integrate(evaluate(GROWTH), initial, cfg)
         with pytest.raises(NonFiniteState) as got:
-            integrate(rhs, initial, cfg)
+            integrate(GROWTH, initial, cfg)
         assert str(got.value) == str(want.value)
         assert got.value.s == grid_points(cfg)[n]
 
@@ -364,161 +379,93 @@ class TestIntegrate:
     def test_overflow_on_a_chunk_edge_at_reference_step(self, monkeypatch, chunk, where,
                                                        backward):
         # the only overflow check reads each chunk's last state: u grows
-        # like e**s and overflows on the first or the last row of the second
-        # chunk; backward is the negated form of a system that decays, which
-        # the system itself equals on the negated grid
+        # like e**|s| and overflows on the first or the last row of the
+        # second chunk; backward, a system that decays on the negated grid
         chunk = chunk or oracle._RK4_CHUNK
         monkeypatch.setattr(oracle, "_RK4_CHUNK", chunk)
         n = chunk if where == "first" else 2 * chunk - 1
         initial = (sys.float_info.max / 6.0 * math.exp(-(n - 0.5) * 1e-3), 1.0)
         cfg = IntegratorConfig(0.0, (2 * chunk + 10) * 1e-3, step=1e-3)
-
-        def rhs(state):
-            return (-state[0], state[1]) if backward else (state[0], -state[1])
-
-        f = (lambda state: tuple([-k for k in rhs(state)])) if backward else rhs
+        system, sign = (DECAY, -1.0) if backward else (GROWTH, 1.0)
         with pytest.raises(NonFiniteState) as want:
-            _reference_integrate(f, initial, cfg)
+            _reference_integrate(evaluate(system), initial, cfg, sign=sign)
         with pytest.raises(NonFiniteState) as got:
-            integrate(f, initial, cfg)
+            list(_rk4_chunks(system, initial, cfg, sign))
         assert str(got.value) == str(want.value)
-        assert got.value.s == grid_points(cfg)[n]
-        if backward:
-            with pytest.raises(NonFiniteState) as negated:
-                list(_rk4_chunks(rhs, initial, cfg, -1.0))
-            assert negated.value.s == -got.value.s
+        assert got.value.s == sign * grid_points(cfg)[n]
 
     @pytest.mark.parametrize("n", [1, 700, SMALL - 2])
     def test_overflow_that_turns_nan_later_in_the_chunk(self, small_chunks, n):
-        # u + (u - u) is u while u is finite and inf - inf = nan from the step
-        # after it overflows, while w stays finite: the chunk ends on a nan,
-        # and its first non-finite row is still the overflow's
+        # the Kahan compensation (inf - u) - inf of the step where u
+        # overflows is nan, so u is nan from the next step on, while w stays
+        # finite: the chunk ends on a nan, and its first non-finite row is
+        # still the overflow's
         initial = (sys.float_info.max / 6.0 * math.exp(-(n - 0.5) * 1e-3), 1.0)
         cfg = IntegratorConfig(0.0, 2.0, step=1e-3)
-
-        def rhs(state):
-            u, w = state
-            return (u + (u - u), -w)
-
-        states = _reference_integrate(rhs, initial, cfg, check=False).states
+        states = _reference_integrate(evaluate(GROWTH), initial, cfg, check=False).states
         assert states[n, 0] == math.inf and math.isnan(states[n + 1, 0])
         assert math.isnan(states[SMALL - 1, 0]) and np.isfinite(states[:, 1]).all()
         with pytest.raises(NonFiniteState) as want:
-            _reference_integrate(rhs, initial, cfg)
+            _reference_integrate(evaluate(GROWTH), initial, cfg)
         with pytest.raises(NonFiniteState) as got:
-            integrate(rhs, initial, cfg)
+            integrate(GROWTH, initial, cfg)
         assert str(got.value) == str(want.value)
         assert got.value.s == grid_points(cfg)[n]
 
-    @pytest.mark.parametrize("rhs", [
-        lambda st: (0.0, 0.0),
-        lambda st: (0.0 * st[1], -0.0 * st[0]),
+    @pytest.mark.parametrize("system", [
+        ((0.0,), (0.0,)),
+        ((0.0, 1, -0.0), (-0.0, 0, -0.0)),
     ], ids=["state-free", "state-reading"])
-    def test_finite_states_with_overflowing_sum(self, rhs):
+    def test_finite_states_with_overflowing_sum(self, system):
         # the components stay finite while their sum, the reference loop's quick check, is inf
         cfg = IntegratorConfig(0.0, 3.0, step=1e-3)
-        got = integrate(rhs, (1e308, 1e308), cfg)
-        want = _reference_integrate(rhs, (1e308, 1e308), cfg)
+        got = integrate(system, (1e308, 1e308), cfg)
+        want = _reference_integrate(evaluate(system), (1e308, 1e308), cfg)
         assert np.array_equal(got.states, want.states)
         assert got.states[-1].tolist() == [1e308, 1e308]
 
-    def test_rhs_called_once(self):
-        calls = []
-
-        def rhs(state):
-            calls.append(state)
-            return (1.0, -state[0])
-
-        sampled = integrate(rhs, (0.0, 1.0), IntegratorConfig(0.0, 1.0, step=0.1))
-        assert len(sampled.grid) == 11
-        assert len(calls) == 1
-
     @given(raw_systems(), short_last_step_windows())
     def test_package_systems_bit_identical(self, system, cfg):
-        rhs, initial = system
-        for f in (rhs, lambda state: tuple([-k for k in rhs(state)])):  # verify's backward form
-            got = integrate(f, initial, cfg)
-            want = _reference_integrate(f, initial, cfg)
-            assert np.array_equal(got.grid, want.grid)
-            assert np.array_equal(got.states, want.states)
+        assert_equals_reference(*system, cfg)
 
     @pytest.mark.parametrize("steps", [SMALL - 1, SMALL, SMALL + 1, 2 * SMALL + 0.5])
     @pytest.mark.parametrize("dim", [4, 6])
     def test_chunks_resume_bit_identical_to_reference_loop(self, small_chunks, steps, dim):
         # the kernel stops after each chunk and resumes from the state and
         # compensations it hands back; 2*SMALL + 0.5 ends in a short step
-        _curve, rhs, initial = _raw_system(dim)
-        cfg = IntegratorConfig(0.0, steps * H, H)
-        for f in (rhs, lambda state: tuple([-k for k in rhs(state)])):
-            got = integrate(f, initial, cfg)
-            want = _reference_integrate(f, initial, cfg)
-            assert got.states.tobytes() == want.states.tobytes()
+        _curve, system, initial = _raw_system(dim)
+        assert_equals_reference(system, initial, IntegratorConfig(0.0, steps * H, H))
 
     def test_full_size_chunks_resume_bit_identical_to_reference_loop(self):
-        _curve, rhs, initial = _raw_system(6)
+        _curve, system, initial = _raw_system(6)
         cfg = IntegratorConfig(0.0, (2 * oracle._RK4_CHUNK + 0.5) * H, H)
-        got = integrate(rhs, initial, cfg)
-        assert got.states.tobytes() == _reference_integrate(rhs, initial, cfg).states.tobytes()
+        want = _reference_integrate(evaluate(system), initial, cfg)
+        assert integrate(system, initial, cfg).states.tobytes() == want.states.tobytes()
 
     @given(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
            st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0)),
            st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), short_last_step_windows())
     def test_isotropic_magnetic_matches_state_reading_form(self, v2, v3, initial, cfg):
-        # magnetic_rhs returns the constants (v3, -v2) for v1 = 0; up to the
+        # magnetic_system has the constants (v3, -v2) for v1 = 0; up to the
         # sign of a zero they equal the general form's v3 - 0*z' and 0*y' - v2
         def general(state):
             _y, _z, yd, zd = state
             return (yd, zd, v3 - 0.0 * zd, 0.0 * yd - v2)
 
-        got = integrate(partial(magnetic_rhs, KillingField(0.0, v2, v3)), initial, cfg)
+        got = integrate(magnetic_system(KillingField(0.0, v2, v3)), initial, cfg)
         want = _reference_integrate(general, initial, cfg)
         assert np.array_equal(got.states, want.states)
 
-    def test_reflected_operators_and_int_constants(self):
-        def rhs(state):
-            u, v, w, z, zero = state
-            return (
-                1 - (2 + u * 0.5),
-                2 * -(u * v) - v * 4,
-                3,
-                1.0 - np.float64(1.5) * w,
-                -0.0,
-            )
-
-        initial = (0.3, -1.0, 2.0, 0.5, -0.0)
-        cfg = IntegratorConfig(0.0, 2.0, step=0.01)
-        got = integrate(rhs, initial, cfg)
-        want = _reference_integrate(rhs, initial, cfg)
-        # bytes, not ==: the last component stays -0.0 only if its constant does
-        assert got.states.tobytes() == want.states.tobytes()
-        assert math.copysign(1.0, got.states[-1, 4]) == -1.0
-
-    @pytest.mark.parametrize("rhs", [
-        lambda st: (st[0] if st[0] > 0.0 else -st[0],),
-        lambda st: (1.0 if st[0] == 0.0 else 0.0,),
-        lambda st: (1.0 if st[0] else 0.0,),
-        lambda st: (math.sin(st[0]),),
-        lambda st: (np.sin(st[0]),),
-        lambda st: (abs(st[0]),),
-        lambda st: ("1.0",),
-        # too large to inline: nested too deep, or 2**60 terms once written out
-        lambda st: (sum([st[0]] * 200, 1.0),),
-        lambda st: (reduce(lambda t, _: t + t, range(60), st[0]),),
-        # may raise or turn complex once a state overflows
-        lambda st: (st[0] / 2.0,),
-        lambda st: (1.0 / st[0],),
-        lambda st: (st[0] ** 2,),
-        lambda st: (2.0 ** st[0],),
-    ], ids=["compare", "equal", "truth", "math", "numpy", "abs", "str", "deep", "doubled",
-            "div", "rdiv", "pow", "rpow"])
-    def test_untraceable_rhs_rejected(self, rhs):
-        with pytest.raises(TypeError, match=r"rhs must be arithmetic \(\+ - \*, unary -\)"):
-            integrate(rhs, (1.0,), IntegratorConfig(0.0, 1.0, step=0.1))
-
     def test_rhs_arity_checked(self):
         cfg = IntegratorConfig(0.0, 1.0, step=0.1)
-        with pytest.raises(ValueError, match="components"):
-            integrate(lambda st: (st[0],), (1.0, 2.0), cfg)
+        with pytest.raises(ValueError, match="a 2-dim state needs 2 rows"):
+            integrate(((1.0, 0, -0.0),), (1.0, 2.0), cfg)
+
+    @pytest.mark.parametrize("k", [2, -1])
+    def test_row_reading_outside_the_state_rejected(self, k):
+        cfg = IntegratorConfig(0.0, 1.0, step=0.1)
+        with pytest.raises(ValueError, match=r"2 rows, each reading x\[0\] to x\[1\]"):
+            integrate(((1.0, k, -0.0), (0.0,)), (1.0, 2.0), cfg)
 
     def test_constraint_violation_stays_constant(self):
         # with v1 = 0 the third derivatives vanish, so an incompatible
@@ -526,7 +473,7 @@ class TestIntegrate:
         field = KillingField(0, 1, 2)
         initial = (0.0, 0.0, 0.3, -0.7, 1.0, 1.0)
         cfg = IntegratorConfig(0.0, 3.0, step=1e-2)
-        sampled = integrate(partial(n_magnetic_rhs, field), initial, cfg)
+        sampled = integrate(n_magnetic_system(field), initial, cfg)
         # v2*z'' - v3*y'', which must vanish for compatible data
         violation = field.v2 * sampled.states[:, 5] - field.v3 * sampled.states[:, 4]
         assert violation.tolist() == [-1.0] * len(sampled.grid)
@@ -611,20 +558,19 @@ class TestMaxDeviationChunks:
         assert math.isnan(max_deviation(crv, sampled))
 
 
-def _whole_window_samples(rhs, initial, s_start, s_end, step):
-    """The rows verify compares, cut from integrate's whole-window states: the
-    forward run on [0, s_end] from s_start on, the backward run on
-    [0, -s_start] from -s_end on (at s = -u)."""
+def _whole_window_samples(system, initial, s_start, s_end, step):
+    """The rows verify compares, cut from whole-window runs: the forward run
+    on [0, s_end] from s_start on, the backward run on the negated grid of
+    [0, -s_start] from -s_end on."""
     samples = []
     if s_end > 0.0:
-        sampled = integrate(rhs, initial, IntegratorConfig(0.0, s_end, step))
+        sampled = integrate(system, initial, IntegratorConfig(0.0, s_end, step))
         first = int(np.searchsorted(sampled.grid, s_start))
         samples.append(SampledCurve(sampled.grid[first:], sampled.states[first:]))
     if s_start < 0.0:
-        back = integrate(lambda state: tuple([-k for k in rhs(state)]), initial,
-                         IntegratorConfig(0.0, -s_start, step))
-        first = int(np.searchsorted(back.grid, -s_end))
-        samples.append(SampledCurve(-back.grid[first:], back.states[first:]))
+        back = _stepped(system, initial, IntegratorConfig(0.0, -s_start, step), -1.0)
+        first = int(np.searchsorted(-back.grid, -s_end))
+        samples.append(SampledCurve(back.grid[first:], back.states[first:]))
     return samples
 
 
@@ -633,9 +579,9 @@ C = SMALL
 
 class TestVerify:
     def test_deviation_equals_integrating_the_raw_system(self):
-        for crv, rhs, initial in map(_raw_system, (4, 6)):
+        for crv, system, initial in map(_raw_system, (4, 6)):
             cfg = IntegratorConfig(0.0, 3.0, 2e-3)
-            expected = max_deviation(crv, integrate(rhs, initial, cfg))
+            expected = max_deviation(crv, integrate(system, initial, cfg))
             assert verify(crv, 0.0, 3.0, 2e-3)["deviation"] == expected
 
     @pytest.mark.parametrize("dim", [4, 6])
@@ -650,6 +596,23 @@ class TestVerify:
         verify(curve, -1.0, -0.5)
         assert oracle._rk4_kernel.cache_info().currsize == 1
 
+    def test_kernels_are_keyed_by_shape_not_by_value(self):
+        # each family has one row shape at v1 = 0 and one elsewhere (a zero
+        # v2 would drop a "+ c"), and one kernel serves every curve of a shape
+        rng = np.random.default_rng(7)
+        oracle._rk4_kernel.cache_clear()
+        for i in range(40):
+            v1 = 0.0 if i % 4 < 2 else rng.uniform(-3.0, 3.0)
+            field = KillingField(v1, *rng.uniform(-2.0, 2.0, 2))
+            y0, Y0, z0, Z0, lam = rng.uniform(-2.0, 2.0, 5)
+            if i % 2:
+                curve = solve_magnetic(field, MagneticIC(y0, Y0, z0, Z0))
+            else:  # accelerations along (v2, v3), compatible at v1 = 0
+                ic = NMagneticIC(y0, Y0, lam * field.v2, z0, Z0, lam * field.v3)
+                curve = solve_n_magnetic(field, ic)
+            verify(curve, -0.05, 0.05)
+        assert oracle._rk4_kernel.cache_info().currsize <= 4
+
     # window ends in steps of H: forward runs of k*C - 1, k*C and k*C + 1 steps
     # and one ending in a short step; offset starts inside a later chunk, on
     # the first row of one and on the last row of the one before; backward and
@@ -663,9 +626,9 @@ class TestVerify:
     @pytest.mark.parametrize("dim", [4, 6])
     def test_chunked_deviation_equals_whole_window(self, small_chunks, window, dim,
                                                    monkeypatch):
-        curve, rhs, initial = _raw_system(dim)
+        curve, system, initial = _raw_system(dim)
         s_start, s_end = window[0] * H, window[1] * H
-        want = _whole_window_samples(rhs, initial, s_start, s_end, H)
+        want = _whole_window_samples(system, initial, s_start, s_end, H)
         seen = []
 
         def recording(closed, sampled):
@@ -688,16 +651,14 @@ class TestVerify:
         # near s = 3: row 5993 (fourth chunk) or 14982 (tenth)
         field = KillingField(0, 0, 1e307)
         curve = solve_magnetic(field, MagneticIC(0, 0, 0, 0))
-        forward = partial(magnetic_rhs, field)
-        backward = window[0] < 0.0
-        rhs = (lambda state: tuple([-k for k in forward(state)])) if backward else forward
+        sign = -1.0 if window[0] < 0.0 else 1.0
         cfg = IntegratorConfig(0.0, 4.0, step)
         with pytest.raises(NonFiniteState) as want:
-            integrate(rhs, (0.0, 0.0, 0.0, 0.0), cfg)
-        assert want.value.s >= grid_points(cfg)[C]
+            list(_rk4_chunks(magnetic_system(field), (0.0, 0.0, 0.0, 0.0), cfg, sign))
+        s = want.value.s
+        assert sign * s >= grid_points(cfg)[C]
         with pytest.raises(NonFiniteState) as got:
             verify(curve, *window, step)
-        s = -want.value.s if backward else want.value.s
         assert got.value.s == s
         assert str(got.value) == f"state became non-finite at s = {s}"
 
